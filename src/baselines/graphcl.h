@@ -8,11 +8,9 @@
 #define SARN_BASELINES_GRAPHCL_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "obs/metrics_sink.h"
-#include "plan/plan.h"
 #include "roadnet/road_network.h"
 #include "tensor/tensor.h"
 
@@ -55,11 +53,6 @@ struct GraphClConfig {
   /// events, so baseline training curves are comparable with SARN's from
   /// the same JSONL file. Measurement-only; does not perturb training.
   obs::MetricsSink* metrics_sink = nullptr;
-
-  /// Step-plan engine mode (DESIGN.md §15), same semantics as
-  /// core::TrainOptions::plan_mode: unset defers to SARN_PLAN, then off.
-  /// Bitwise identical to the dynamic tape in every mode.
-  std::optional<plan::PlanMode> plan_mode;
 };
 
 struct GraphClResult {

@@ -90,7 +90,7 @@ GraphView FullGraphView(const std::vector<roadnet::TopoEdge>& topo_edges,
 
 /// A graph-view generator. MakeView consumes `rng` deterministically: two
 /// calls with the same RNG state produce the same view, which is what resume
-/// and plan-replay bitwise identity rely on. Implementations hold references
+/// bitwise identity relies on. Implementations hold references
 /// to the network (and any precomputed structure) and must not mutate shared
 /// state in MakeView.
 class Augmentation {

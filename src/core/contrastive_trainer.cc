@@ -13,7 +13,6 @@
 #include "core/sarn_model.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "plan/executor.h"
 #include "tensor/ops.h"
 
 namespace sarn::core {
@@ -153,11 +152,6 @@ TrainStats ContrastiveTrainer::Run(const TrainOptions& options) {
   obs::Histogram& epoch_seconds_hist =
       registry.GetHistogram("sarn.train.epoch_seconds");
 
-  // Step-plan engine (DESIGN.md §15). Off by default; `record` verifies every
-  // step's allocation stream against the dynamic tape, `replay` executes
-  // verified plans from an AOT-packed arena. All modes are bitwise identical.
-  plan::PlanExecutor plan_executor(plan::EffectivePlanMode(options.plan_mode));
-
   int stop_after = options.max_epochs >= 0
                        ? std::min(options.max_epochs, config.max_epochs)
                        : config.max_epochs;
@@ -195,11 +189,6 @@ TrainStats ContrastiveTrainer::Run(const TrainOptions& options) {
       tensor::StepScope alloc_scope;
       int64_t end = std::min<int64_t>(n, begin + config.batch_size);
       std::vector<int64_t> batch(order.begin() + begin, order.begin() + end);
-      // Declared before any Tensor of the step: the guard destructs after
-      // every step tensor has released its buffer, which is exactly when the
-      // executor checks that a replayed arena went quiescent.
-      plan::PlanExecutor::StepGuard plan_step = plan_executor.BeginStep(
-          model_->MakeStepPlanKey(view1, view2, batch, optimizer.learning_rate()));
 
       // Target branch first (fills z' and, later, the sampler state). The
       // all-vertex projection buffer is released at scope end unless the

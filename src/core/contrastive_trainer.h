@@ -2,13 +2,13 @@
 //
 // ContrastiveTrainer owns everything about *how* momentum contrastive
 // training runs — the epoch/batch loop, MoCo momentum update, optimizer and
-// LR schedule, crash-safe checkpoint/resume (with the variant tag), the
-// step-plan engine hookup, abort-on-non-finite guards, and epoch telemetry —
+// LR schedule, crash-safe checkpoint/resume (with the variant tag),
+// abort-on-non-finite guards, and epoch telemetry —
 // while the model supplies *what* is trained: the encoder pair, the
 // augmentation's graph views, and the negative sampler's loss. Swapping any
 // registry variant changes none of the driver code, which is why the
-// bitwise-reproducibility invariants (resume identity, plan-replay identity,
-// thread-count identity) hold for every composition at once.
+// bitwise-reproducibility invariants (resume identity, thread-count
+// identity) hold for every composition at once.
 
 #ifndef SARN_CORE_CONTRASTIVE_TRAINER_H_
 #define SARN_CORE_CONTRASTIVE_TRAINER_H_

@@ -30,9 +30,6 @@ class GatPlaneEncoder final : public Encoder {
 
   int64_t out_dim() const override { return gat_.out_dim(); }
 
-  // The combined edge count is already part of the PlanKey; GAT's op
-  // sequence depends on nothing else, so no extension needed.
-
  private:
   nn::GatEncoder gat_;
 };
@@ -56,20 +53,6 @@ class RfnPlaneEncoder final : public Encoder {
   }
 
   int64_t out_dim() const override { return rfn_.out_dim(); }
-
-  // RfnLayer skips a relation's term when that relation has no surviving
-  // edges, so the step structure depends on the per-relation split — not
-  // just on the combined counts the base PlanKey hashes.
-  void ExtendPlanKey(uint64_t& hash, const GraphView& view1,
-                     const GraphView& view2) const override {
-    auto mix = [&hash](uint64_t v) {
-      hash ^= v + 0x9e3779b97f4a7c15ull + (hash << 6) + (hash >> 2);
-    };
-    mix(static_cast<uint64_t>(view1.topo_edges.size()));
-    mix(static_cast<uint64_t>(view1.spatial_edges.size()));
-    mix(static_cast<uint64_t>(view2.topo_edges.size()));
-    mix(static_cast<uint64_t>(view2.spatial_edges.size()));
-  }
 
  private:
   nn::RfnEncoder rfn_;

@@ -42,18 +42,6 @@ class Encoder : public nn::Module {
   virtual std::vector<tensor::Tensor> FinalLayerParameters() const = 0;
 
   virtual int64_t out_dim() const = 0;
-
-  /// Folds any *structural* per-view inputs beyond the combined edge counts
-  /// (already in the PlanKey) into the step-plan hash. An encoder whose op
-  /// sequence depends on per-relation splits must hash them here, or replay
-  /// plans could cross structurally different steps. Pure; never touches
-  /// RNG or numerics.
-  virtual void ExtendPlanKey(uint64_t& hash, const GraphView& view1,
-                             const GraphView& view2) const {
-    (void)hash;
-    (void)view1;
-    (void)view2;
-  }
 };
 
 /// The paper's GAT encoder over the combined (topological + spatial) edge

@@ -1,7 +1,6 @@
 #include "core/sarn_model.h"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <utility>
@@ -10,7 +9,6 @@
 #include "common/csv.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/parallel.h"
 #include "core/contrastive_trainer.h"
 #include "core/variant_registry.h"
 #include "tensor/ops.h"
@@ -114,80 +112,6 @@ Tensor SarnModel::TargetProject(const GraphView& view) const {
 Tensor SarnModel::ComputeLoss(const Tensor& z, const Tensor& z_prime,
                               const std::vector<int64_t>& batch, Rng& rng) const {
   return sampler_->ComputeLoss(z, z_prime, Tensor(), batch, rng);
-}
-
-plan::PlanKey SarnModel::MakeStepPlanKey(const GraphView& view1, const GraphView& view2,
-                                         const std::vector<int64_t>& batch,
-                                         float learning_rate) const {
-  plan::PlanKey key;
-  uint64_t h = 0x5a524e;  // Arbitrary non-zero basis.
-  auto put = [&h](uint64_t v) { h = plan::HashCombine(h, v); };
-  auto put_d = [&put](double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    put(bits);
-  };
-  auto put_f = [&put](float v) {
-    uint32_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    put(bits);
-  };
-  // Hash every hyper-parameter: conservative (some fields cannot change the
-  // step structure) but guarantees any config edit invalidates cached plans.
-  put(config_.seed);
-  put(static_cast<uint64_t>(config_.feature_dim_per_feature));
-  put(static_cast<uint64_t>(config_.hidden_dim));
-  put(static_cast<uint64_t>(config_.embedding_dim));
-  put(static_cast<uint64_t>(config_.gat_layers));
-  put(static_cast<uint64_t>(config_.gat_heads));
-  put(static_cast<uint64_t>(config_.projection_dim));
-  put(config_.use_attention ? 1 : 0);
-  put_d(config_.delta_ds_meters);
-  put_d(config_.delta_as_radians);
-  put(static_cast<uint64_t>(config_.max_spatial_neighbors));
-  put_d(config_.rho_t);
-  put_d(config_.rho_s);
-  put_d(config_.epsilon);
-  put_d(config_.cell_side_meters);
-  put(static_cast<uint64_t>(config_.queue_budget));
-  put_d(config_.lambda);
-  put_d(config_.tau);
-  put_f(config_.momentum);
-  put(static_cast<uint64_t>(config_.max_epochs));
-  put(static_cast<uint64_t>(config_.patience));
-  put_f(config_.learning_rate);
-  put(static_cast<uint64_t>(config_.batch_size));
-  put(config_.use_spatial_matrix ? 1 : 0);
-  put(config_.use_spatial_negatives ? 1 : 0);
-  put(static_cast<uint64_t>(config_.random_negatives));
-  // Variant identity: a plan recorded under one encoder/augmentation/
-  // negatives combo must never replay under another, even when the shape
-  // fields happen to coincide.
-  h = plan::HashString(h, variant_tag_.encoder);
-  h = plan::HashString(h, variant_tag_.augmentation);
-  h = plan::HashString(h, variant_tag_.negatives);
-  put_d(config_.third_law_radius_meters);
-  put_d(config_.third_law_min_similarity);
-  put(static_cast<uint64_t>(config_.third_law_neighbors));
-  put_d(config_.edge_drop_rate);
-  put_d(config_.feature_mask_rate);
-  // The LR the cosine schedule set for this epoch: an LR-schedule change is
-  // a plan invalidation (the step values differ even if shapes do not, and
-  // the key is the one contract a cached plan is trusted on).
-  put_f(learning_rate);
-  // Encoder-specific structural inputs (e.g. RFN's per-relation splits).
-  online_encoder_->ExtendPlanKey(h, view1, view2);
-  key.config_hash = h;
-
-  key.vertices = network_->num_segments();
-  key.edges_a = static_cast<int64_t>(view1.edges.src.size());
-  key.edges_b = static_cast<int64_t>(view2.edges.src.size());
-  key.batch = static_cast<int64_t>(batch.size());
-  key.threads = static_cast<int64_t>(GetParallelThreads());
-  // Sampler-specific structural state (phi_max / cells / rows for the
-  // spatial two-level loss).
-  sampler_->ExtendPlanKey(key, batch);
-  return key;
 }
 
 TrainStats SarnModel::Train() { return Train(TrainOptions{}); }

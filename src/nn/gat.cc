@@ -66,14 +66,13 @@ Tensor GatLayer::Forward(const Tensor& x, const EdgeList& edges) const {
   Tensor wx_all = num_heads_ == 1 ? tensor::MatMul(x, weight_[0])
                                   : tensor::MatMul(x, tensor::Concat(weight_, 1));
 
-  // With grad recording off (serving, momentum-encoder passes) the per-edge
-  // gather/scale/scatter chain collapses into fused kernels that skip the
-  // [E, d] intermediates entirely; values stay bitwise identical to the op
-  // path because the fused loops apply the same float operation order.
-  // With grad recording on, the plan executor can request the differentiable
-  // fusions instead (one tape node per chain, bitwise-identical gradients).
-  const bool fused_inference = !tensor::GradModeEnabled();
-  const bool fused_grad = !fused_inference && tensor::GradFusionEnabled();
+  // The per-edge gather/score/scale/scatter chain runs as fused kernels on
+  // both paths, applying the same float operation order as the unfused op
+  // chain (tests/nn_gat_test.cc keeps that chain as the bitwise oracle).
+  // With grad recording off (serving, momentum-encoder passes) the kernels
+  // skip the [E, ...] intermediates entirely; with it on, each chain is one
+  // tape node with bitwise-identical gradients.
+  const bool recording = tensor::GradModeEnabled();
 
   // Footnote-1 ablation: softmax of constant scores = uniform mean over each
   // vertex's incoming edges; identical for every head, so computed once.
@@ -88,36 +87,19 @@ Tensor GatLayer::Forward(const Tensor& x, const EdgeList& edges) const {
     Tensor wx = num_heads_ == 1
                     ? wx_all
                     : tensor::ColsRange(wx_all, h * head_dim_, head_dim_);  // [n, head_dim]
-    Tensor alpha;
+    Tensor alpha = uniform_alpha;
     if (use_attention_) {
       Tensor score_src = tensor::MatMul(wx, att_src_[h]);  // [n, 1]
       Tensor score_dst = tensor::MatMul(wx, att_dst_[h]);  // [n, 1]
-      if (fused_inference) {
-        alpha = tensor::EdgeSoftmax(
-            tensor::FusedEdgeScores(score_src, score_dst, src, dst, leaky_relu_slope_),
-            dst, n);
-      } else if (fused_grad) {
-        alpha = tensor::EdgeSoftmax(tensor::FusedEdgeScoreActivate(
-                                        score_src, score_dst, src, dst, leaky_relu_slope_),
-                                    dst, n);
-      } else {
-        Tensor e = tensor::LeakyRelu(
-            tensor::Add(tensor::Rows(score_dst, dst), tensor::Rows(score_src, src)),
-            leaky_relu_slope_);  // [E, 1]
-        alpha = tensor::EdgeSoftmax(tensor::Reshape(e, {e_count}), dst, n);
-      }
-    } else {
-      alpha = uniform_alpha;
+      Tensor scores = recording ? tensor::FusedEdgeScoreActivate(score_src, score_dst, src,
+                                                                 dst, leaky_relu_slope_)
+                                : tensor::FusedEdgeScores(score_src, score_dst, src, dst,
+                                                          leaky_relu_slope_);  // [E]
+      alpha = tensor::EdgeSoftmax(scores, dst, n);
     }
-    if (fused_inference) {
-      head_outputs.push_back(tensor::FusedGatherScaleScatter(wx, src, dst, alpha, n));
-    } else if (fused_grad) {
-      head_outputs.push_back(
-          tensor::ScaleScatterRows(tensor::Rows(wx, src), alpha, dst, n));
-    } else {
-      Tensor messages = tensor::ScaleRows(tensor::Rows(wx, src), alpha);
-      head_outputs.push_back(tensor::ScatterAddRows(messages, dst, n));  // [n, head_dim]
-    }
+    head_outputs.push_back(  // [n, head_dim]
+        recording ? tensor::ScaleScatterRows(tensor::Rows(wx, src), alpha, dst, n)
+                  : tensor::FusedGatherScaleScatter(wx, src, dst, alpha, n));
   }
 
   Tensor combined;

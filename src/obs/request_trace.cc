@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 
 #include "common/check.h"
 
@@ -128,18 +129,43 @@ RequestRecord RequestTracer::DecodeRecord(const uint64_t* words) {
 }
 
 void RequestTracer::Publish(const RequestRecord& record) {
-  // Ring write: claim a slot with fetch_add, bracket the word stores with an
-  // odd sequence so a concurrent reader detects the torn window and skips it.
+  // Ring write: take a ticket, then claim its slot by moving the sequence
+  // from even to odd with a CAS, so exactly one writer owns the slot while
+  // its words are stored and a concurrent reader detects the torn window.
+  // Two writers whose tickets lap onto the same slot race for that CAS; the
+  // loser retries while the winner writes and, if the slot stays busy,
+  // drops its record and counts the drop instead of corrupting the slot.
   uint64_t ticket = published_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = ring_[ticket & ring_mask_];
+  bool claimed = false;
   uint64_t seq = slot.sequence.load(std::memory_order_relaxed);
-  slot.sequence.store(seq + 1, std::memory_order_release);  // Odd: writing.
-  uint64_t words[kSlotWords];
-  EncodeRecord(record, words);
-  for (int i = 0; i < kSlotWords; ++i) {
-    slot.words[i].store(words[i], std::memory_order_relaxed);
+  for (int attempt = 0; attempt < kClaimAttempts; ++attempt) {
+    if ((seq & 1) == 0 &&
+        slot.sequence.compare_exchange_weak(seq, seq + 1, std::memory_order_acquire,
+                                            std::memory_order_relaxed)) {
+      // Acquire pairs with the previous owner's even store, so its word
+      // stores are ordered before ours and the two never interleave.
+      claimed = true;
+      break;
+    }
+    if (seq & 1) {
+      std::this_thread::yield();  // Another writer holds the slot.
+      seq = slot.sequence.load(std::memory_order_relaxed);
+    }
   }
-  slot.sequence.store(seq + 2, std::memory_order_release);  // Even: stable.
+  if (claimed) {
+    // Orders the odd sequence before the word stores: a reader that sees any
+    // new word also sees the odd (or a later) sequence and retries.
+    std::atomic_thread_fence(std::memory_order_release);
+    uint64_t words[kSlotWords];
+    EncodeRecord(record, words);
+    for (int i = 0; i < kSlotWords; ++i) {
+      slot.words[i].store(words[i], std::memory_order_relaxed);
+    }
+    slot.sequence.store(seq + 2, std::memory_order_release);  // Even: stable.
+  } else {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   // Slowest-N tail retention. The relaxed floor read keeps the common case
   // (request faster than the current table minimum) lock-free.
@@ -167,6 +193,7 @@ RequestTracer::TraceSnapshot RequestTracer::Snapshot() const {
   snapshot.admitted = next_id_.load(std::memory_order_relaxed) - 1;
   uint64_t published = published_.load(std::memory_order_acquire);
   snapshot.traced = published;
+  snapshot.dropped = dropped_.load(std::memory_order_relaxed);
   uint32_t capacity = ring_mask_ + 1;
   uint64_t begin = published > capacity ? published - capacity : 0;
   snapshot.recent.reserve(static_cast<size_t>(published - begin));

@@ -158,6 +158,7 @@ class RequestTracer {
   struct TraceSnapshot {
     uint64_t admitted = 0;  // Requests admitted (ids assigned).
     uint64_t traced = 0;    // Requests whose timeline was recorded.
+    uint64_t dropped = 0;   // Traced records lost to a busy ring slot.
     std::vector<RequestRecord> recent;
     std::vector<RequestRecord> slowest;
   };
@@ -171,6 +172,8 @@ class RequestTracer {
   // a torn read is detected by the sequence check, never a data race — the
   // ring stays TSan-clean by construction.
   static constexpr int kSlotWords = 8;
+  // CAS attempts a writer makes on a busy slot before dropping its record.
+  static constexpr int kClaimAttempts = 64;
   struct Slot {
     std::atomic<uint64_t> sequence{0};
     std::atomic<uint64_t> words[kSlotWords] = {};
@@ -185,6 +188,7 @@ class RequestTracer {
   std::unique_ptr<Slot[]> ring_;
   std::atomic<uint64_t> next_id_{1};
   std::atomic<uint64_t> published_{0};
+  std::atomic<uint64_t> dropped_{0};
 
   uint32_t slowest_capacity_ = 0;
   mutable std::mutex slowest_mu_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <utility>
 
 #include "common/check.h"
@@ -21,9 +22,13 @@ namespace {
 
 // Rows scanned per kernel call: the fused scan streams the matrix in tiles
 // this tall, scoring a block of up to simd::kMaxQueryBlock queries per pass
-// and feeding the scores straight into the top-k heaps, so the scratch is
-// one small pooled tile instead of a [batch, n] score matrix.
+// and feeding the scores straight into the top-k arrays, so the scratch is
+// a pooled [batch, kScanTile] tile instead of a [batch, n] score matrix.
 constexpr int64_t kScanTile = 1024;
+
+// Scores the top-k filter examines per simd::FilterAbove call (see
+// TopKAccumulator::PushTile); also the size of its candidate scratch.
+constexpr int64_t kFilterChunk = 256;
 
 // L2-normalises `row` in place, with the norm accumulated in double exactly
 // like the stored rows at construction (so a by-vector query of a stored row
@@ -43,26 +48,27 @@ tensor::Storage ByteStorage(size_t bytes) {
                                         sizeof(float));
 }
 
-// Top-k selection fused with the tiled scan: a pool-backed array sorted
-// descending by (score, id) keeps the k best pairs seen while tiles arrive
-// in ascending-id order — the k largest pairs under strict-> replacement
-// against the current minimum (the array's back), exactly the set a
-// (score, id) min-heap would keep, already in the emit order. The selection
-// rule is independent of tiling and batching, so fused, batched and
-// single-query answers select identically.
+// Top-k selection fused with the tiled scan: an array sorted descending by
+// (score, id) keeps the k best pairs seen while tiles arrive in ascending-id
+// order — the k largest pairs under strict-> replacement against the current
+// minimum (the array's back), exactly the set a (score, id) min-heap would
+// keep, already in the emit order. The selection rule is independent of
+// tiling and batching, so fused, batched and single-query answers select
+// identically. The array is caller scratch with room for k entries.
 class TopKAccumulator {
  public:
-  TopKAccumulator(int k, int64_t exclude) : k_(k), exclude_(exclude) {
-    best_.reserve(static_cast<size_t>(std::max(k, 0)));
-  }
+  using Entry = std::pair<float, int64_t>;
+
+  TopKAccumulator(int k, int64_t exclude, Entry* storage)
+      : k_(k), exclude_(exclude), best_(storage) {}
 
   /// Offers `count` scores for rows [id0, id0 + count), ascending. `cand` is
-  /// caller scratch for at least `count` candidate positions.
+  /// caller scratch for kFilterChunk candidate positions.
   void PushTile(const float* scores, int64_t count, int64_t id0,
                 int32_t* cand) {
     if (k_ <= 0) return;
     int64_t t = 0;
-    while (static_cast<int>(best_.size()) < k_ && t < count) {
+    while (size_ < k_ && t < count) {
       const int64_t id = id0 + t;
       if (id != exclude_) Insert({scores[t], id});
       ++t;
@@ -74,18 +80,16 @@ class TopKAccumulator {
     // chunk's threshold is only ever stale-low, so the filter returns a
     // superset of acceptable rows and the strict > below re-checks each one
     // — the selection evolves exactly as the plain per-score loop would.
-    constexpr int64_t kFilterChunk = 256;
     while (t < count) {
       const int64_t len = std::min<int64_t>(kFilterChunk, count - t);
-      const int64_t m =
-          simd::FilterAbove(scores + t, len, best_.back().first, cand);
+      const int64_t m = simd::FilterAbove(scores + t, len, Min(), cand);
       for (int64_t c = 0; c < m; ++c) {
         const int64_t pos = t + cand[c];
         const int64_t id = id0 + pos;
         if (id == exclude_) continue;
         const float score = scores[pos];
-        if (score > best_.back().first) {
-          best_.pop_back();
+        if (score > Min()) {
+          --size_;
           Insert({score, id});
         }
       }
@@ -93,31 +97,86 @@ class TopKAccumulator {
     }
   }
 
-  std::vector<Neighbor> Finish() {
-    std::vector<Neighbor> out(best_.size());
-    for (size_t i = 0; i < best_.size(); ++i) {
-      out[i] = {best_[i].second, static_cast<double>(best_[i].first)};
+  std::vector<Neighbor> Finish() const {
+    std::vector<Neighbor> out(static_cast<size_t>(size_));
+    for (int i = 0; i < size_; ++i) {
+      out[static_cast<size_t>(i)] = {best_[i].second, static_cast<double>(best_[i].first)};
     }
     return out;
   }
 
  private:
-  using Entry = std::pair<float, int64_t>;
+  float Min() const { return best_[size_ - 1].first; }
 
+  // Requires size_ < k_: shifts the tail right by one and places `e`.
   void Insert(const Entry& e) {
-    auto it = std::upper_bound(
-        best_.begin(), best_.end(), e,
-        [](const Entry& a, const Entry& b) { return a > b; });
-    best_.insert(it, e);
+    Entry* end = best_ + size_;
+    Entry* it = std::upper_bound(best_, end, e, [](const Entry& a, const Entry& b) {
+      return a > b;
+    });
+    std::move_backward(it, end, end + 1);
+    *it = e;
+    ++size_;
   }
 
   int k_;
   int64_t exclude_;
-  tensor::PoolVec<Entry> best_;  // Descending by (score, id); back = minimum.
+  Entry* best_;   // Descending by (score, id); best_[size_ - 1] = minimum.
+  int size_ = 0;
 };
 
 int ClampK(int k, int64_t n, int64_t exclude) {
   return std::min<int>(k, static_cast<int>(exclude >= 0 ? n - 1 : n));
+}
+
+// Scores a tile: rows [r0, r0 + rows) against queries [g, g + qn), writing
+// query qi's scores at out[qi * kScanTile + r].
+using ScoreTileFn =
+    std::function<void(size_t g, int qn, int64_t r0, int64_t rows, float* out)>;
+
+// The fused multi-query scan shared by both precisions: ParallelFor over
+// query blocks, each block streaming the index in kScanTile-row tiles into
+// its top-k accumulators. All scratch (score tiles, filter candidates, top-k
+// arrays) is taken from the BufferPool here, on the calling thread, and
+// sliced by query index so concurrent chunks never share a slice: pool free
+// lists are per thread, so scratch acquired inside the body would miss the
+// first time a pool worker ran a chunk.
+void ScanBatch(size_t b, int k, int64_t n, const int64_t* excludes,
+               const ScoreTileFn& score_tile,
+               std::vector<std::vector<Neighbor>>* results) {
+  constexpr int kBlock = simd::kMaxQueryBlock;
+  tensor::Storage tiles =
+      tensor::Storage::Uninitialized(b * static_cast<size_t>(kScanTile));
+  tensor::PoolVec<int32_t> cands(b * static_cast<size_t>(kFilterChunk));
+  const size_t slots = static_cast<size_t>(std::clamp<int64_t>(k, 0, n));
+  tensor::PoolVec<TopKAccumulator::Entry> best(b * slots);
+  ParallelFor(
+      b,
+      [&](size_t begin, size_t end) {
+        for (size_t g = begin; g < end; g += kBlock) {
+          const int qn = static_cast<int>(std::min<size_t>(kBlock, end - g));
+          float* tile = tiles.data() + g * static_cast<size_t>(kScanTile);
+          int32_t* cand = cands.data() + g * static_cast<size_t>(kFilterChunk);
+          auto accumulator = [&](int qi) {
+            if (qi >= qn) return TopKAccumulator(0, -1, nullptr);
+            return TopKAccumulator(ClampK(k, n, excludes[g + qi]), excludes[g + qi],
+                                   best.data() + (g + qi) * slots);
+          };
+          TopKAccumulator accs[kBlock] = {accumulator(0), accumulator(1), accumulator(2),
+                                          accumulator(3)};
+          for (int64_t r0 = 0; r0 < n; r0 += kScanTile) {
+            const int64_t rows = std::min<int64_t>(kScanTile, n - r0);
+            score_tile(g, qn, r0, rows, tile);
+            for (int qi = 0; qi < qn; ++qi) {
+              accs[qi].PushTile(tile + qi * kScanTile, rows, r0, cand);
+            }
+          }
+          for (int qi = 0; qi < qn; ++qi) {
+            (*results)[g + qi] = accs[qi].Finish();
+          }
+        }
+      },
+      /*grain=*/2);
 }
 
 }  // namespace
@@ -289,43 +348,17 @@ void EmbeddingIndex::ScanFloat(std::span<const IndexQuery> queries, int k,
       if (metric_ == IndexMetric::kCosine) NormalizeRow(row, d_);
     }
   }
-  ParallelFor(
-      b,
-      [&](size_t begin, size_t end) {
-        constexpr int kBlock = simd::kMaxQueryBlock;
-        tensor::Storage tile =
-            tensor::Storage::Uninitialized(kBlock * static_cast<size_t>(kScanTile));
-        tensor::PoolVec<int32_t> cand(static_cast<size_t>(kScanTile), 0);
-        for (size_t g = begin; g < end; g += kBlock) {
-          const int qn = static_cast<int>(std::min<size_t>(kBlock, end - g));
-          TopKAccumulator accs[kBlock] = {
-              {qn > 0 ? ClampK(k, n_, excludes[g + 0]) : 0, qn > 0 ? excludes[g + 0] : -1},
-              {qn > 1 ? ClampK(k, n_, excludes[g + 1]) : 0, qn > 1 ? excludes[g + 1] : -1},
-              {qn > 2 ? ClampK(k, n_, excludes[g + 2]) : 0, qn > 2 ? excludes[g + 2] : -1},
-              {qn > 3 ? ClampK(k, n_, excludes[g + 3]) : 0, qn > 3 ? excludes[g + 3] : -1},
-          };
-          for (int64_t r0 = 0; r0 < n_; r0 += kScanTile) {
-            const int64_t rows = std::min<int64_t>(kScanTile, n_ - r0);
-            if (metric_ == IndexMetric::kCosine) {
-              simd::DotScan(q.data() + g * static_cast<size_t>(d_), qn,
-                            data_.data() + r0 * d_, rows, d_, tile.data(),
-                            kScanTile);
-            } else {
-              simd::L1Scan(q.data() + g * static_cast<size_t>(d_), qn,
-                           data_.data() + r0 * d_, rows, d_, tile.data(),
-                           kScanTile);
-            }
-            for (int qi = 0; qi < qn; ++qi) {
-              accs[qi].PushTile(tile.data() + qi * kScanTile, rows, r0,
-                                cand.data());
-            }
-          }
-          for (int qi = 0; qi < qn; ++qi) {
-            (*results)[g + qi] = accs[qi].Finish();
-          }
+  ScanBatch(
+      b, k, n_, excludes,
+      [&](size_t g, int qn, int64_t r0, int64_t rows, float* out) {
+        const float* qblock = q.data() + g * static_cast<size_t>(d_);
+        if (metric_ == IndexMetric::kCosine) {
+          simd::DotScan(qblock, qn, data_.data() + r0 * d_, rows, d_, out, kScanTile);
+        } else {
+          simd::L1Scan(qblock, qn, data_.data() + r0 * d_, rows, d_, out, kScanTile);
         }
       },
-      /*grain=*/2);
+      results);
 }
 
 void EmbeddingIndex::ScanInt8(std::span<const IndexQuery> queries, int k,
@@ -354,44 +387,19 @@ void EmbeddingIndex::ScanInt8(std::span<const IndexQuery> queries, int k,
       simd::QuantizeRowI8WithScale(query.vector.data(), d_, shared_scale_, qrow);
     }
   }
-  ParallelFor(
-      b,
-      [&](size_t begin, size_t end) {
-        constexpr int kBlock = simd::kMaxQueryBlock;
-        tensor::Storage tile =
-            tensor::Storage::Uninitialized(kBlock * static_cast<size_t>(kScanTile));
-        tensor::PoolVec<int32_t> cand(static_cast<size_t>(kScanTile), 0);
-        for (size_t g = begin; g < end; g += kBlock) {
-          const int qn = static_cast<int>(std::min<size_t>(kBlock, end - g));
-          TopKAccumulator accs[kBlock] = {
-              {qn > 0 ? ClampK(k, n_, excludes[g + 0]) : 0, qn > 0 ? excludes[g + 0] : -1},
-              {qn > 1 ? ClampK(k, n_, excludes[g + 1]) : 0, qn > 1 ? excludes[g + 1] : -1},
-              {qn > 2 ? ClampK(k, n_, excludes[g + 2]) : 0, qn > 2 ? excludes[g + 2] : -1},
-              {qn > 3 ? ClampK(k, n_, excludes[g + 3]) : 0, qn > 3 ? excludes[g + 3] : -1},
-          };
-          for (int64_t r0 = 0; r0 < n_; r0 += kScanTile) {
-            const int64_t rows = std::min<int64_t>(kScanTile, n_ - r0);
-            if (metric_ == IndexMetric::kCosine) {
-              simd::DotScanI8(q8 + g * static_cast<size_t>(d_),
-                              qscales.data() + g, qn, codes + r0 * d_,
-                              scales_.data() + r0, rows, d_, tile.data(),
-                              kScanTile);
-            } else {
-              simd::L1ScanI8(q8 + g * static_cast<size_t>(d_), qn,
-                             codes + r0 * d_, rows, d_, shared_scale_,
-                             tile.data(), kScanTile);
-            }
-            for (int qi = 0; qi < qn; ++qi) {
-              accs[qi].PushTile(tile.data() + qi * kScanTile, rows, r0,
-                                cand.data());
-            }
-          }
-          for (int qi = 0; qi < qn; ++qi) {
-            (*results)[g + qi] = accs[qi].Finish();
-          }
+  ScanBatch(
+      b, k, n_, excludes,
+      [&](size_t g, int qn, int64_t r0, int64_t rows, float* out) {
+        const int8_t* qblock = q8 + g * static_cast<size_t>(d_);
+        if (metric_ == IndexMetric::kCosine) {
+          simd::DotScanI8(qblock, qscales.data() + g, qn, codes + r0 * d_,
+                          scales_.data() + r0, rows, d_, out, kScanTile);
+        } else {
+          simd::L1ScanI8(qblock, qn, codes + r0 * d_, rows, d_, shared_scale_, out,
+                         kScanTile);
         }
       },
-      /*grain=*/2);
+      results);
 }
 
 std::vector<Neighbor> EmbeddingIndex::QueryById(int64_t query_id, int k) const {

@@ -55,12 +55,12 @@ void MatMulGradBNaive(const float* a, const float* g, float* db, int64_t row_beg
 void MatMulGradBBlocked(const float* a, const float* g, float* db, int64_t row_begin,
                         int64_t row_end, int64_t m, int64_t k, int64_t n);
 
-// --- Compiled (plan-executor) AVX2 kernels ----------------------------------
+// --- Compiled AVX2 kernels ---------------------------------------------------
 // Vector lanes are distinct output elements — no reduction is reassociated
 // and no FMA is emitted (see simd/matmul_avx2.cc) — so each kernel is
-// bit-identical to its scalar blocked counterpart on every input. The plan
-// executor swaps them in for verified capture/replay steps (DESIGN.md §15);
-// the dynamic tape keeps the scalar reference kernels.
+// bit-identical to its scalar blocked counterpart on every input. MatMul
+// runs them whenever MatMulCompiledAvailable() (DESIGN.md §15); the blocked
+// kernels remain the non-AVX2 tier and the ops_test oracle.
 
 /// True when the AVX2 kernels are compiled in and the host supports them.
 /// Defined (returning false) on every build so call sites need no #ifdefs.

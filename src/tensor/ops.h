@@ -123,26 +123,8 @@ Tensor FusedGatherScaleScatter(const Tensor& wx, const std::vector<int64_t>& src
 // adjacent elementwise/gather/scatter chain into ONE tape node whose forward
 // and backward apply the exact float operation order of the unfused chain —
 // values and gradients stay bitwise identical; only the [E, ...]
-// intermediates (and their zero-filled grad buffers) disappear. Selected by
-// GatLayer::Forward when GradFusionEnabled() is on (the plan executor turns
-// it on for recorded/replayed steps).
-
-/// True when nn layers should emit the fused differentiable kernels on the
-/// grad path (thread-local; default false).
-bool GradFusionEnabled();
-void SetGradFusionEnabled(bool enabled);
-
-/// RAII toggle for GradFusionEnabled on the calling thread.
-class GradFusionGuard {
- public:
-  explicit GradFusionGuard(bool enabled);
-  ~GradFusionGuard();
-  GradFusionGuard(const GradFusionGuard&) = delete;
-  GradFusionGuard& operator=(const GradFusionGuard&) = delete;
-
- private:
-  bool previous_;
-};
+// intermediates (and their zero-filled grad buffers) disappear.
+// GatLayer::Forward emits them whenever gradient recording is on.
 
 /// Differentiable FusedEdgeScores: LeakyRelu(score_dst[dst[e]] +
 /// score_src[src[e]]) -> [E], one tape node replacing the five-node

@@ -12,8 +12,6 @@ namespace {
 // never touches the obs registry.
 std::atomic<uint64_t> g_tape_nodes{0};
 
-constexpr uint32_t kOversize = 25;
-
 void RaiseToAtLeast(std::atomic<int64_t>& peak, int64_t value) {
   int64_t seen = peak.load(std::memory_order_relaxed);
   while (value > seen &&
@@ -30,14 +28,6 @@ void IncrementTapeNodeCount() {
 }
 
 uint64_t TapeNodeCount() { return g_tape_nodes.load(std::memory_order_relaxed); }
-
-namespace {
-thread_local AllocHooks* t_alloc_hooks = nullptr;
-}  // namespace
-
-void SetThreadAllocHooks(AllocHooks* hooks) { t_alloc_hooks = hooks; }
-
-AllocHooks* ThreadAllocHooks() { return t_alloc_hooks; }
 
 }  // namespace internal
 
@@ -99,12 +89,6 @@ uint32_t BufferPool::SizeClassFor(size_t bytes) {
 }
 
 internal::StorageBlock* BufferPool::Acquire(size_t bytes) {
-  internal::AllocHooks* hooks = internal::ThreadAllocHooks();
-  if (hooks != nullptr && hooks->acquire != nullptr) {
-    if (internal::StorageBlock* served = hooks->acquire(hooks->ctx, bytes)) {
-      return served;  // Arena-served: bypasses the pool and its stats.
-    }
-  }
   uint32_t cls = SizeClassFor(bytes);
   if (cls == kOversizeClass) {
     void* mem = ::operator new(internal::StorageBlock::kPayloadOffset + bytes);
@@ -117,9 +101,6 @@ internal::StorageBlock* BufferPool::Acquire(size_t bytes) {
                                          std::memory_order_relaxed) +
                    static_cast<int64_t>(bytes);
     RaiseToAtLeast(peak_live_bytes_, live);
-    if (hooks != nullptr && hooks->on_acquire != nullptr) {
-      hooks->on_acquire(hooks->ctx, block, bytes);
-    }
     return block;
   }
 
@@ -148,9 +129,6 @@ internal::StorageBlock* BufferPool::Acquire(size_t bytes) {
   int64_t live =
       live_bytes_.fetch_add(class_bytes, std::memory_order_relaxed) + class_bytes;
   RaiseToAtLeast(peak_live_bytes_, live);
-  if (hooks != nullptr && hooks->on_acquire != nullptr) {
-    hooks->on_acquire(hooks->ctx, block, bytes);
-  }
   return block;
 }
 
@@ -159,19 +137,6 @@ void BufferPool::Release(internal::StorageBlock* block) {
   if (block->refs.fetch_sub(1, std::memory_order_release) != 1) return;
   // Last reference: synchronise with all prior releases before recycling.
   std::atomic_thread_fence(std::memory_order_acquire);
-
-  if (block->size_class == internal::kArenaSizeClass) {
-    // Arena-owned: the block's memory belongs to a plan executor arena, which
-    // parked its release counter in `next` at serve time. Signal it and leave
-    // the bytes alone — the executor reuses them on the next replayed step.
-    reinterpret_cast<std::atomic<uint64_t>*>(block->next)
-        ->fetch_add(1, std::memory_order_release);
-    return;
-  }
-  if (internal::AllocHooks* hooks = internal::ThreadAllocHooks();
-      hooks != nullptr && hooks->on_release != nullptr) {
-    hooks->on_release(hooks->ctx, block);
-  }
 
   if (block->size_class == kOversizeClass) {
     live_bytes_.fetch_sub(static_cast<int64_t>(block->oversize_bytes),
@@ -294,9 +259,9 @@ void Storage::Resize(size_t n) {
   // Reuse the held block when it is exclusively ours and its class can hold n.
   if (block_ != nullptr && !view_ &&
       block_->refs.load(std::memory_order_relaxed) == 1) {
-    // Oversize and arena blocks both carry their exact capacity in
-    // oversize_bytes; sized classes derive it from the class table.
-    size_t capacity = block_->size_class >= kOversize
+    // Oversize blocks carry their exact capacity in oversize_bytes; sized
+    // classes derive it from the class table.
+    size_t capacity = block_->size_class == BufferPool::kOversizeClass
                           ? block_->oversize_bytes
                           : BufferPool::ClassBytes(block_->size_class);
     if (n * sizeof(float) <= capacity) {

@@ -171,19 +171,7 @@ struct BackwardScratch {
 
 thread_local BackwardScratch t_backward_scratch;
 
-thread_local internal::TapeHooks* t_tape_hooks = nullptr;
-
 }  // namespace
-
-namespace internal {
-
-void SetThreadTapeHooks(TapeHooks* hooks) { t_tape_hooks = hooks; }
-
-TapeHooks* ThreadTapeHooks() { return t_tape_hooks; }
-
-uint64_t NextBackwardPass() { return ++t_backward_scratch.pass_id; }
-
-}  // namespace internal
 
 const char* BackwardStatusName(Tensor::BackwardStatus status) {
   switch (status) {
@@ -202,12 +190,6 @@ Tensor::BackwardStatus Tensor::Backward(const std::vector<float>& seed_grad) {
   // -DNDEBUG builds) before any gradient is touched.
   if (static_cast<int64_t>(seed_grad.size()) != numel()) {
     return BackwardStatus::kSeedSizeMismatch;
-  }
-  if (internal::TapeHooks* hooks = t_tape_hooks;
-      hooks != nullptr && hooks->backward != nullptr) {
-    if (hooks->backward(hooks->ctx, impl_, seed_grad.data(), seed_grad.size())) {
-      return BackwardStatus::kOk;  // Recorded/replayed by the plan layer.
-    }
   }
   // Topological order over the tape (iterative DFS to survive deep graphs,
   // e.g., unrolled GRUs over 180-step trajectories). Visited state is a pass
@@ -326,10 +308,6 @@ Tensor MakeOpResultImpl(Shape shape, Storage data, const Tensor* inputs,
       }
       impl->backward = std::move(backward);
       internal::IncrementTapeNodeCount();
-      if (internal::TapeHooks* hooks = t_tape_hooks;
-          hooks != nullptr && hooks->on_node != nullptr) {
-        hooks->on_node(hooks->ctx, impl);
-      }
     }
   }
   return Tensor::FromImpl(impl);

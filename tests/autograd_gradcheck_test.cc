@@ -137,6 +137,29 @@ std::vector<OpCase> MakeCases() {
         return ScatterAddRows(weighted, dst, 2);
       },
       {{4}, {4, 1}});
+  // The fused differentiable GAT kernels (one tape node per chain). Edge
+  // lists repeat sources and destinations so the backward scatters
+  // accumulate more than one edge per row.
+  add("FusedEdgeScoreActivate",
+      [](const auto& in) {
+        return FusedEdgeScoreActivate(in[0], in[1], {0, 1, 2, 0, 2}, {1, 0, 1, 2, 2},
+                                      0.2f);
+      },
+      {{3, 1}, {3, 1}});
+  add("ScaleScatterRows",
+      [](const auto& in) { return ScaleScatterRows(in[0], in[1], {1, 0, 1, 2, 1}, 3); },
+      {{5, 3}, {5}});
+  add("FusedGatComposite",
+      [](const auto& in) {
+        // The grad-mode GatLayer edge path: fused scores -> EdgeSoftmax ->
+        // fused scale+scatter of the gathered source rows.
+        std::vector<int64_t> src = {0, 1, 2, 0, 2};
+        std::vector<int64_t> dst = {1, 0, 1, 2, 2};
+        Tensor alpha = EdgeSoftmax(FusedEdgeScoreActivate(in[1], in[2], src, dst, 0.2f),
+                                   dst, 3);
+        return ScaleScatterRows(Rows(in[0], src), alpha, dst, 3);
+      },
+      {{3, 2}, {3, 1}, {3, 1}});
   add("NormalizedDotComposite",
       [](const auto& in) {
         return DotRows(RowL2Normalize(in[0]), RowL2Normalize(in[1]));

@@ -2,8 +2,7 @@
 //
 // The anchor is the golden-trace pin: default-config SARN training must be
 // bitwise identical to the pre-refactor implementation — same epoch-loss
-// bits, same embedding bits — at 1 and 4 threads, with the plan engine off
-// and in replay mode. The golden file was generated from the tree as it
+// bits, same embedding bits — at 1 and 4 threads. The golden file was generated from the tree as it
 // stood *before* SarnModel was split into Encoder/Augmentation/
 // NegativeSampler components, so any refactor that perturbs the RNG stream,
 // the op sequence or the reduction order fails this test.
@@ -31,24 +30,6 @@
 #include "tensor/ops.h"
 
 namespace sarn::core {
-
-// Declared friend in SarnModel (this binary's peer exposes the plan-key
-// derivation; sarn_internals_test has its own peer for the loss internals).
-class SarnModelTestPeer {
- public:
-  explicit SarnModelTestPeer(SarnModel& model) : model_(&model) {}
-
-  /// The step key of a batch over the uncorrupted view (structure only; no
-  /// RNG involvement, so it is comparable across model instances).
-  plan::PlanKey StepKey(float learning_rate = 0.005f) {
-    std::vector<int64_t> batch = {0, 1, 2, 3};
-    return model_->MakeStepPlanKey(model_->full_view_, model_->full_view_, batch,
-                                   learning_rate);
-  }
-
- private:
-  SarnModel* model_;
-};
 
 namespace {
 
@@ -105,14 +86,11 @@ struct Trace {
   uint64_t embedding_digest = 0;
 };
 
-Trace RunTrace(const roadnet::RoadNetwork& network, size_t threads,
-               plan::PlanMode mode) {
+Trace RunTrace(const roadnet::RoadNetwork& network, size_t threads) {
   size_t saved = GetParallelThreads();
   SetParallelThreads(threads);
   SarnModel model(network, GoldenConfig());
-  TrainOptions options;
-  options.plan_mode = mode;
-  TrainStats stats = model.Train(options);
+  TrainStats stats = model.Train(TrainOptions{});
   Trace trace;
   for (double loss : stats.epoch_losses) trace.loss_bits.push_back(DoubleBits(loss));
   trace.embedding_digest = TensorDigest(model.Embeddings());
@@ -170,22 +148,19 @@ TEST(GoldenTrace, RewriteGoldenFile) {
   out << "# Pre-refactor default-config SARN training trace (epoch-loss bits\n"
       << "# and embedding digest); see encoder_plane_test.cc.\n";
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    out << FormatTrace(threads, RunTrace(network, threads, plan::PlanMode::kOff))
-        << "\n";
+    out << FormatTrace(threads, RunTrace(network, threads)) << "\n";
   }
 }
 
-class GoldenTraceTest : public testing::TestWithParam<std::tuple<size_t, int>> {};
+class GoldenTraceTest : public testing::TestWithParam<size_t> {};
 
 TEST_P(GoldenTraceTest, BitwiseIdenticalToPreRefactorTrace) {
-  const size_t threads = std::get<0>(GetParam());
-  const plan::PlanMode mode = std::get<1>(GetParam()) == 0 ? plan::PlanMode::kOff
-                                                           : plan::PlanMode::kReplay;
+  const size_t threads = GetParam();
   auto golden = ReadGoldenFile();
   ASSERT_TRUE(golden.count(threads))
       << "no golden entry for threads=" << threads << " in " << kGoldenFile;
   const auto network = GoldenCity();
-  Trace trace = RunTrace(network, threads, mode);
+  Trace trace = RunTrace(network, threads);
   const Trace& expected = golden[threads];
   ASSERT_EQ(trace.loss_bits.size(), expected.loss_bits.size());
   for (size_t i = 0; i < trace.loss_bits.size(); ++i) {
@@ -196,14 +171,10 @@ TEST_P(GoldenTraceTest, BitwiseIdenticalToPreRefactorTrace) {
       << "embedding bits diverge at threads=" << threads;
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadsAndPlanModes, GoldenTraceTest,
-                         testing::Combine(testing::Values(size_t{1}, size_t{4}),
-                                          testing::Values(0, 1)),
+INSTANTIATE_TEST_SUITE_P(Threads, GoldenTraceTest,
+                         testing::Values(size_t{1}, size_t{4}),
                          [](const auto& info) {
-                           return "threads" +
-                                  std::to_string(std::get<0>(info.param)) +
-                                  (std::get<1>(info.param) == 0 ? "_off"
-                                                                : "_replay");
+                           return "threads" + std::to_string(info.param);
                          });
 
 // --- Registry round-trip ------------------------------------------------------
@@ -270,49 +241,9 @@ TEST(VariantRegistryRoundTrip, RegistryEnumeratesTheBuiltIns) {
   EXPECT_FALSE(registry.HasEncoder("no-such-encoder"));
 }
 
-// --- PlanKey variant identity -------------------------------------------------
-//
-// Plans recorded under one variant must never replay under another: the
-// variant names are part of the step key's config hash, so two models that
-// differ only in a registry name produce different keys for the same batch
-// and graph structure.
-
-TEST(PlanKeyVariantIdentity, EachVariantDimensionChangesTheKey) {
-  const auto network = GoldenCity();
-  SarnConfig base_config = GoldenConfig();
-  SarnModel base(network, base_config);
-  plan::PlanKey base_key = SarnModelTestPeer(base).StepKey();
-
-  auto key_for = [&](SarnConfig config) {
-    SarnModel model(network, config);
-    return SarnModelTestPeer(model).StepKey();
-  };
-
-  SarnConfig rfn = base_config;
-  rfn.encoder = "rfn";
-  EXPECT_NE(key_for(rfn).config_hash, base_key.config_hash)
-      << "encoder name not part of the plan identity";
-
-  SarnConfig third_law = base_config;
-  third_law.augmentation = "third-law";
-  EXPECT_NE(key_for(third_law).config_hash, base_key.config_hash)
-      << "augmentation name not part of the plan identity";
-
-  SarnConfig in_batch = base_config;
-  in_batch.negatives = "in-batch";
-  EXPECT_NE(key_for(in_batch).config_hash, base_key.config_hash)
-      << "negatives name not part of the plan identity";
-
-  // Same composition -> same key (the hash is structural, not per-instance).
-  EXPECT_EQ(key_for(base_config).config_hash, base_key.config_hash);
-  EXPECT_EQ(key_for(base_config), base_key);
-}
-
-// The legacy SARN-w/o-NL switch resolves to the "random" sampler: both the
-// variant tag and the plan identity must reflect the resolved name, and the
-// key must still differ from the default composition (the hash covers the
-// raw config too, so a plan from either spelling never replays as "spatial").
-TEST(PlanKeyVariantIdentity, LegacyAblationSwitchResolvesToRandom) {
+// The legacy SARN-w/o-NL switch resolves to the "random" sampler: the
+// variant tag (and so the checkpoint identity) reflects the resolved name.
+TEST(VariantRegistryRoundTrip, LegacyAblationSwitchResolvesToRandom) {
   const auto network = GoldenCity();
   SarnConfig legacy = GoldenConfig();
   legacy.use_spatial_negatives = false;
@@ -321,12 +252,8 @@ TEST(PlanKeyVariantIdentity, LegacyAblationSwitchResolvesToRandom) {
 
   SarnModel legacy_model(network, legacy);
   SarnModel named_model(network, named);
-  SarnModel default_model(network, GoldenConfig());
   EXPECT_EQ(std::string(legacy_model.negatives_name()), "random");
   EXPECT_EQ(legacy_model.variant_tag(), named_model.variant_tag());
-  uint64_t default_hash = SarnModelTestPeer(default_model).StepKey().config_hash;
-  EXPECT_NE(SarnModelTestPeer(legacy_model).StepKey().config_hash, default_hash);
-  EXPECT_NE(SarnModelTestPeer(named_model).StepKey().config_hash, default_hash);
 }
 
 }  // namespace

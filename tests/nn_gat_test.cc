@@ -1,6 +1,9 @@
 #include "nn/gat.h"
 
 #include <cmath>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -23,6 +26,180 @@ EdgeList PathGraph(int64_t n) {
   }
   return edges;
 }
+
+// Construction arguments of a GatLayer under test; the oracle below needs
+// them to rebuild the layer's forward from its parameters.
+struct GatSpec {
+  int64_t in_dim = 8;
+  int64_t head_dim = 4;
+  int num_heads = 2;
+  bool concat_heads = true;
+  Activation activation = Activation::kElu;
+  bool add_self_loops = true;
+  bool residual = true;
+  bool use_attention = true;
+  float slope = 0.2f;
+
+  GatLayer Make(Rng& rng) const {
+    return GatLayer(in_dim, head_dim, num_heads, concat_heads, activation, rng, slope,
+                    add_self_loops, residual, use_attention);
+  }
+};
+
+// The unfused op chain GatLayer::Forward's fused edge kernels stand in for,
+// rebuilt from the layer's Parameters() (per head W, a_src, a_dst, then the
+// residual weight). Per head: Rows -> Add -> LeakyRelu -> Reshape ->
+// EdgeSoftmax for the attention weights, then ScaleRows -> ScatterAddRows
+// for the aggregation. Everything around the edge chain (the wide
+// projection matmul, head slices, combine, residual, activation) follows
+// Forward op for op, so the fused layer must match this bit for bit.
+Tensor OpChainReference(const GatSpec& spec, const std::vector<Tensor>& params,
+                        const Tensor& x, const EdgeList& edges) {
+  const int64_t n = x.shape()[0];
+  const EdgeList& graph = spec.add_self_loops ? edges.WithSelfLoops(n) : edges;
+  const std::vector<int64_t>& src = graph.src;
+  const std::vector<int64_t>& dst = graph.dst;
+  const int64_t e_count = static_cast<int64_t>(src.size());
+  std::vector<Tensor> weights, att_src, att_dst;
+  for (int h = 0; h < spec.num_heads; ++h) {
+    weights.push_back(params[static_cast<size_t>(3 * h)]);
+    att_src.push_back(params[static_cast<size_t>(3 * h + 1)]);
+    att_dst.push_back(params[static_cast<size_t>(3 * h + 2)]);
+  }
+  Tensor wx_all = spec.num_heads == 1 ? tensor::MatMul(x, weights[0])
+                                      : tensor::MatMul(x, tensor::Concat(weights, 1));
+  Tensor uniform_alpha;
+  if (!spec.use_attention) {
+    uniform_alpha = tensor::EdgeSoftmax(Tensor::Zeros({e_count}), dst, n);
+  }
+  std::vector<Tensor> heads;
+  for (int h = 0; h < spec.num_heads; ++h) {
+    Tensor wx = spec.num_heads == 1
+                    ? wx_all
+                    : tensor::ColsRange(wx_all, h * spec.head_dim, spec.head_dim);
+    Tensor alpha = uniform_alpha;
+    if (spec.use_attention) {
+      Tensor score_src = tensor::MatMul(wx, att_src[static_cast<size_t>(h)]);
+      Tensor score_dst = tensor::MatMul(wx, att_dst[static_cast<size_t>(h)]);
+      Tensor e = tensor::LeakyRelu(
+          tensor::Add(tensor::Rows(score_dst, dst), tensor::Rows(score_src, src)),
+          spec.slope);
+      alpha = tensor::EdgeSoftmax(tensor::Reshape(e, {e_count}), dst, n);
+    }
+    Tensor messages = tensor::ScaleRows(tensor::Rows(wx, src), alpha);
+    heads.push_back(tensor::ScatterAddRows(messages, dst, n));
+  }
+  Tensor combined;
+  if (spec.concat_heads) {
+    combined = spec.num_heads == 1 ? heads[0] : tensor::Concat(heads, 1);
+  } else {
+    combined = heads[0];
+    for (int h = 1; h < spec.num_heads; ++h) combined = tensor::Add(combined, heads[h]);
+    combined = tensor::MulScalar(combined, 1.0f / static_cast<float>(spec.num_heads));
+  }
+  if (spec.residual) combined = tensor::Add(combined, tensor::MatMul(x, params.back()));
+  return Apply(spec.activation, combined);
+}
+
+// A sparse random digraph: each vertex sends `out_degree` edges to uniform
+// targets (duplicates and self edges allowed, as after augmentation).
+EdgeList RandomGraph(int64_t n, int out_degree, Rng& rng) {
+  EdgeList edges;
+  for (int64_t v = 0; v < n; ++v) {
+    for (int d = 0; d < out_degree; ++d) {
+      edges.Add(v, static_cast<int64_t>(rng.UniformInt(0, n - 1)));
+    }
+  }
+  return edges;
+}
+
+void ExpectBitwiseEqual(const tensor::Storage& got, const tensor::Storage& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << what << " element " << i;
+  }
+}
+
+// (use_attention, concat_heads, threads).
+class GatOracleTest : public testing::TestWithParam<std::tuple<bool, bool, size_t>> {
+ protected:
+  void SetUp() override {
+    saved_threads_ = GetParallelThreads();
+    SetParallelThreads(std::get<2>(GetParam()));
+  }
+  void TearDown() override { SetParallelThreads(saved_threads_); }
+
+  GatSpec Spec() const {
+    GatSpec spec;
+    spec.in_dim = 32;
+    spec.head_dim = 8;
+    spec.num_heads = 2;
+    spec.use_attention = std::get<0>(GetParam());
+    spec.concat_heads = std::get<1>(GetParam());
+    spec.activation = spec.concat_heads ? Activation::kElu : Activation::kNone;
+    return spec;
+  }
+
+  // Large enough that the 4-thread run splits the matmuls across the pool.
+  static constexpr int64_t kVertices = 600;
+
+ private:
+  size_t saved_threads_ = 1;
+};
+
+TEST_P(GatOracleTest, GradModeForwardAndGradientsMatchOpChainBitwise) {
+  const GatSpec spec = Spec();
+  Rng rng(41);
+  GatLayer layer = spec.Make(rng);
+  EdgeList edges = RandomGraph(kVertices, 4, rng);
+  Tensor x = Tensor::Randn({kVertices, spec.in_dim}, rng).RequiresGrad();
+  // Non-uniform upstream gradient, so every edge contributes distinctly.
+  std::vector<float> seed(static_cast<size_t>(kVertices * layer.output_dim()));
+  for (float& v : seed) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+
+  std::vector<Tensor> params = layer.Parameters();
+  Tensor fused = layer.Forward(x, edges);
+  ASSERT_EQ(fused.Backward(seed), Tensor::BackwardStatus::kOk);
+  std::vector<std::vector<float>> fused_grads;
+  for (const Tensor& p : params) fused_grads.push_back(p.grad().ToVector());
+  fused_grads.push_back(x.grad().ToVector());
+  for (Tensor& p : params) p.ZeroGrad();
+  x.ZeroGrad();
+
+  Tensor oracle = OpChainReference(spec, params, x, edges);
+  ASSERT_EQ(oracle.Backward(seed), Tensor::BackwardStatus::kOk);
+  ExpectBitwiseEqual(fused.data(), oracle.data(), "forward output");
+  for (size_t i = 0; i < params.size(); ++i) {
+    ExpectBitwiseEqual(params[i].grad(), tensor::Storage::Of(fused_grads[i]),
+                       "parameter " + std::to_string(i) + " gradient");
+  }
+  ExpectBitwiseEqual(x.grad(), tensor::Storage::Of(fused_grads.back()), "input gradient");
+}
+
+TEST_P(GatOracleTest, NoGradForwardMatchesOpChainBitwise) {
+  const GatSpec spec = Spec();
+  Rng rng(42);
+  GatLayer layer = spec.Make(rng);
+  EdgeList edges = RandomGraph(kVertices, 4, rng);
+  Tensor x = Tensor::Randn({kVertices, spec.in_dim}, rng);
+  Tensor oracle = OpChainReference(spec, layer.Parameters(), x, edges);
+  Tensor fused;
+  {
+    tensor::NoGradGuard guard;
+    fused = layer.Forward(x, edges);
+  }
+  ExpectBitwiseEqual(fused.data(), oracle.data(), "no-grad forward output");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AttentionHeadsThreads, GatOracleTest,
+    testing::Combine(testing::Bool(), testing::Bool(), testing::Values(size_t{1}, size_t{4})),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "attention" : "uniform") +
+             (std::get<1>(info.param) ? "_concat" : "_mean") + "_threads" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 TEST(GatLayerTest, OutputShapeConcatHeads) {
   Rng rng(1);
@@ -326,43 +503,35 @@ TEST(GatEncoderTest, LearnsToSeparateTwoCommunities) {
 
 TEST(GatLayerTest, FusedInferencePathMatchesOpPathBitwise) {
   // With grad recording off, Forward takes the fused gather/scale/scatter
-  // kernels; the result must be bit-for-bit the autograd op-path output.
+  // kernels; the result must be bit-for-bit the unfused op chain's output.
   Rng rng(21);
-  GatLayer layer(8, 4, 2, /*concat_heads=*/true, Activation::kElu, rng);
+  GatSpec spec;
+  GatLayer layer = spec.Make(rng);
   Tensor x = Tensor::Randn({12, 8}, rng);
   EdgeList edges = PathGraph(12);
-  Tensor op_path = layer.Forward(x, edges);
+  Tensor op_path = OpChainReference(spec, layer.Parameters(), x, edges);
   Tensor fused;
   {
     tensor::NoGradGuard guard;
     fused = layer.Forward(x, edges);
   }
-  ASSERT_EQ(op_path.numel(), fused.numel());
-  for (int64_t i = 0; i < op_path.numel(); ++i) {
-    EXPECT_EQ(op_path.data()[static_cast<size_t>(i)],
-              fused.data()[static_cast<size_t>(i)])
-        << i;
-  }
+  ExpectBitwiseEqual(fused.data(), op_path.data(), "fused inference output");
 }
 
 TEST(GatLayerTest, FusedUniformAttentionMatchesOpPathBitwise) {
   Rng rng(22);
-  GatLayer layer(8, 4, 2, /*concat_heads=*/true, Activation::kElu, rng, 0.2f,
-                 /*add_self_loops=*/true, /*residual=*/true,
-                 /*use_attention=*/false);
+  GatSpec spec;
+  spec.use_attention = false;
+  GatLayer layer = spec.Make(rng);
   Tensor x = Tensor::Randn({10, 8}, rng);
   EdgeList edges = PathGraph(10);
-  Tensor op_path = layer.Forward(x, edges);
+  Tensor op_path = OpChainReference(spec, layer.Parameters(), x, edges);
   Tensor fused;
   {
     tensor::NoGradGuard guard;
     fused = layer.Forward(x, edges);
   }
-  for (int64_t i = 0; i < op_path.numel(); ++i) {
-    EXPECT_EQ(op_path.data()[static_cast<size_t>(i)],
-              fused.data()[static_cast<size_t>(i)])
-        << i;
-  }
+  ExpectBitwiseEqual(fused.data(), op_path.data(), "fused uniform-alpha output");
 }
 
 TEST(GatLayerTest, ForwardBitwiseInvariantToThreadCount) {

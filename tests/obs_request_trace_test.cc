@@ -276,6 +276,49 @@ TEST(RequestTracerTest, ConcurrentPublishAndSnapshotStaysConsistent) {
   EXPECT_EQ(snap.recent.size(), 16u);
 }
 
+TEST(RequestTracerTest, LappingWritersLeaveEverySlotReadable) {
+  // Capacity 2 with many more writer threads than cores: tickets lap onto
+  // the same slot constantly, and a writer is often descheduled mid-write.
+  // Every slot must still decode once all writers have joined — a slot
+  // left with an odd sequence, or holding words from two writers, fails.
+  RequestTracer::Options options;
+  options.sample_every = 1;
+  options.ring_capacity = 2;
+  options.slowest_capacity = 0;
+  RequestTracer tracer(options);
+
+  constexpr int kWriters = 32;
+  constexpr int kPerWriter = 20000;
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        RequestContext ctx = tracer.Admit();
+        ctx.MarkEnqueued();
+        ctx.MarkBatchFormed();
+        ctx.MarkScanBegin();
+        ctx.MarkScanEnd();
+        ctx.Finish(true);
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+
+  RequestTracer::TraceSnapshot snap = tracer.Snapshot();
+  EXPECT_EQ(snap.traced, uint64_t{kWriters} * kPerWriter);
+  EXPECT_LT(snap.dropped, snap.traced);
+  ASSERT_EQ(snap.recent.size(), 2u);
+  for (const RequestRecord& r : snap.recent) {
+    EXPECT_GT(r.id, 0u);
+    EXPECT_TRUE(r.ok);
+    uint64_t sum = 0;
+    for (int s = 0; s < kRequestStageCount; ++s) {
+      sum += r.StageNanos(static_cast<RequestStage>(s));
+    }
+    EXPECT_EQ(sum, r.TotalNanos());
+  }
+}
+
 // --- SloWatchdog::Evaluate (pure windowed math, no threads) ---
 
 TEST(SloEvaluateTest, EmptyWindowHasNoSamples) {

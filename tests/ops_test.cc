@@ -8,6 +8,7 @@
 
 #include "common/parallel.h"
 #include "tensor/matmul_kernels.h"
+#include "tensor/simd/simd.h"
 #include "tensor/tensor.h"
 
 namespace sarn::tensor {
@@ -181,8 +182,8 @@ TEST_P(MatMulKernelEquivalence, GradBMatchesNaive) {
 }
 
 #if defined(SARN_HAVE_AVX2_KERNELS)
-// Compiled (plan-executor) AVX2 kernels: vector lanes are distinct output
-// elements, so they must match the scalar blocked kernels bit for bit —
+// Compiled AVX2 kernels (MatMul's default on AVX2 hosts): vector lanes are
+// distinct output elements, so they must match the scalar blocked kernels bit for bit —
 // including on inputs with exact zeros (post-ReLU activations) and on
 // shapes with sub-tile remainders.
 
@@ -305,6 +306,35 @@ TEST(OpsTest, MatMulIdenticalAcrossThreadCounts) {
   for (int64_t i = 0; i < m * n; ++i) {
     EXPECT_EQ(serial.data()[i], parallel.data()[i]) << "index " << i;
   }
+}
+
+TEST(OpsTest, MatMulForwardAndBackwardBitwiseIdenticalAcrossSimdTiers) {
+  // MatMul runs the compiled AVX2 kernels whenever the active SIMD tier is
+  // AVX2 and the scalar blocked kernels otherwise (SARN_SIMD=scalar, a
+  // -DSARN_NO_SIMD build, non-x86 hosts). The forward value and every
+  // gradient through a downstream chain must agree bit for bit.
+  if (!simd::TierAvailable(simd::Tier::kAvx2)) GTEST_SKIP() << "host lacks AVX2";
+  auto run = [](simd::Tier tier) {
+    simd::ForceTier(tier);
+    Rng rng(5);
+    // Full 4x16 register tiles plus row and column remainders.
+    Tensor x = Tensor::Randn({21, 34}, rng, 0.2f).RequiresGrad();
+    Tensor w = Tensor::Randn({34, 40}, rng, 0.2f).RequiresGrad();
+    Tensor y = MatMul(x, w);
+    Tensor loss = Mean(Square(LeakyRelu(y)));
+    EXPECT_EQ(loss.Backward(), Tensor::BackwardStatus::kOk);
+    std::vector<float> out(y.data().begin(), y.data().end());
+    out.insert(out.end(), w.grad().begin(), w.grad().end());
+    out.insert(out.end(), x.grad().begin(), x.grad().end());
+    out.push_back(loss.item());
+    return out;
+  };
+  const simd::Tier saved = simd::ActiveTier();
+  std::vector<float> scalar = run(simd::Tier::kScalar);
+  std::vector<float> avx2 = run(simd::Tier::kAvx2);
+  simd::ForceTier(saved);
+  ASSERT_EQ(scalar.size(), avx2.size());
+  for (size_t i = 0; i < scalar.size(); ++i) EXPECT_EQ(scalar[i], avx2[i]) << i;
 }
 
 TEST(OpsDeathTest, MatMulShapeMismatch) {

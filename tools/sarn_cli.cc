@@ -51,7 +51,6 @@
 #include "obs/prom_export.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
-#include "plan/plan.h"
 #include "roadnet/geojson.h"
 #include "roadnet/io.h"
 #include "roadnet/osm_import.h"
@@ -277,7 +276,6 @@ struct TrainArgs {
   VariantArgs variant;         // --encoder / --augmentation / --negatives.
   std::string metrics_file;
   std::string trace_file;
-  std::string plan;  // "" defers to the SARN_PLAN environment variable.
   FlagBindings Bindings() {
     FlagBindings b;
     b.String("network", &network, "network CSV", /*required=*/true)
@@ -295,10 +293,7 @@ struct TrainArgs {
         .Int("stop-after", &options.max_epochs,
              "stop once this many total epochs are done")
         .String("metrics-file", &metrics_file, "append one JSON line per epoch here")
-        .String("trace-file", &trace_file, "write a Chrome trace of training phases")
-        .String("plan", &plan,
-                "step-plan engine: off, record or replay (default: the "
-                "SARN_PLAN env var, else off; bitwise identical either way)");
+        .String("trace-file", &trace_file, "write a Chrome trace of training phases");
     return b;
   }
 };
@@ -318,13 +313,6 @@ int CmdTrain(const TrainArgs& args) {
   core::FitCellSideToNetwork(config, *network);
 
   core::TrainOptions options = args.options;
-  if (!args.plan.empty()) {
-    std::optional<plan::PlanMode> mode = plan::ParsePlanMode(args.plan);
-    if (!mode.has_value()) {
-      return Fail("train: --plan must be off, record or replay");
-    }
-    options.plan_mode = mode;
-  }
 
   std::unique_ptr<obs::JsonlMetricsSink> sink;
   const std::string& metrics_file = args.metrics_file;

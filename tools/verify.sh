@@ -17,7 +17,11 @@
 #   5. the SIMD suite (ctest -L simd: scalar-vs-vector bitwise identity,
 #      int8 kernel exactness, quantized recall@10 gate) in the default build,
 #      then again in a -DSARN_NO_SIMD=ON build (build-nosimd) to prove the
-#      scalar fallback configuration stays green on its own;
+#      scalar fallback configuration stays green on its own, plus CLI smokes
+#      proving `sarn train` under SARN_SIMD=scalar (the blocked matmul
+#      kernels) writes embeddings byte-identical to the default run (the
+#      compiled AVX2 kernels on AVX2 hosts), for the default composition and
+#      the RFN encoder;
 #   6. the concurrency-sensitive tests (parallel runtime, matmul kernels,
 #      GAT fusion, buffer-pool acquire/release, metrics registry, the
 #      request-trace seqlock ring, serve engine hot-swap, SIMD kernels) plus
@@ -26,7 +30,7 @@
 #      instrument, a torn trace record, or a torn snapshot swap shows up as a
 #      reported race instead of a rare flake;
 #   7. a leak gate: the storage-pool, SIMD-kernel and quantized-index suites
-#      and a short CLI training run rebuilt under AddressSanitizer
+#      and a short default-path CLI training run rebuilt under AddressSanitizer
 #      (LeakSanitizer on by default), so a tensor buffer, tape closure or
 #      quantized snapshot that never returns to the pool fails verification
 #      instead of slowly growing memory;
@@ -36,21 +40,13 @@
 #      fuzz additionally rebuilt under ASan (a mutated arena must produce a
 #      typed error, never an out-of-bounds read) and the concurrent mmap
 #      hot-swap round trip under TSan;
-#   9. the step-plan suite (ctest -L plan: replay-vs-dynamic bitwise pins at
-#      1 and 4 threads, kill+resume, the invalidation matrix, compiled-kernel
-#      fusion identity) plus a CLI smoke proving `--plan replay` writes
-#      byte-identical embeddings to the dynamic tape; plan_test also rides
-#      the TSan and ASan rebuilds so a race in the wavefront executor or a
-#      leaked arena slot fails verification;
-#  10. the pluggable encoder/augmentation plane (ctest -L encoder: variant
-#      registry round-trip, pre-refactor golden-trace bitwise pin, PlanKey
-#      variant identity, checkpoint variant-tag compat) plus CLI smokes:
-#      2-epoch training runs of the RFN encoder and the Third-Law
-#      augmentation, and a `--plan replay` vs dynamic-tape byte-identity
-#      check on the non-default RFN variant; encoder_plane_test also rides
-#      the TSan and ASan rebuilds so a race or leak in a variant factory,
-#      the RFN relational kernels or the trainer's sampler staging fails
-#      verification.
+#   9. the pluggable encoder/augmentation plane (ctest -L encoder: variant
+#      registry round-trip, pre-refactor golden-trace bitwise pin,
+#      checkpoint variant-tag compat) plus CLI smokes: 2-epoch training runs
+#      of the RFN encoder and the Third-Law augmentation; encoder_plane_test
+#      also rides the TSan and ASan rebuilds so a race or leak in a variant
+#      factory, the RFN relational kernels or the trainer's sampler staging
+#      fails verification.
 #
 # Usage: tools/verify.sh [--tsan-only|--no-tsan|--no-asan]
 set -euo pipefail
@@ -76,36 +72,15 @@ if [[ "$mode" != "--tsan-only" ]]; then
     --metrics-file "$obs_dir/metrics.jsonl" --trace-file "$obs_dir/trace.json"
   build/tools/sarn check-json --in "$obs_dir/metrics.jsonl" --lines true
   build/tools/sarn check-json --in "$obs_dir/trace.json"
-  # Step-plan suite: bitwise replay pins, invalidation matrix, fusion identity.
-  (cd build && ctest --output-on-failure -L plan)
-  # Plan smoke: the same short training run executed by the dynamic tape and
-  # by record/replay must produce byte-identical embeddings.
-  plan_dir="build/verify_plan"
-  rm -rf "$plan_dir" && mkdir -p "$plan_dir"
-  build/tools/sarn train --network "$obs_dir/net.csv" --epochs 2 --dim 16 \
-    --plan off --embeddings "$plan_dir/emb_dynamic.csv"
-  build/tools/sarn train --network "$obs_dir/net.csv" --epochs 2 --dim 16 \
-    --plan replay --embeddings "$plan_dir/emb_replay.csv"
-  if ! cmp -s "$plan_dir/emb_dynamic.csv" "$plan_dir/emb_replay.csv"; then
-    echo "verify: --plan replay embeddings differ from the dynamic tape" >&2
-    exit 1
-  fi
   # Encoder/augmentation plane suite: registry round-trip, golden-trace pin,
-  # PlanKey variant identity, checkpoint variant tags.
+  # checkpoint variant tags.
   (cd build && ctest --output-on-failure -L encoder)
   # Variant smokes: the non-default encoder (RFN) and augmentation
-  # (Third-Law) must train end to end through the CLI, and plan replay must
-  # stay byte-identical to the dynamic tape on a non-default variant too.
+  # (Third-Law) must train end to end through the CLI.
   variant_dir="build/verify_encoder"
   rm -rf "$variant_dir" && mkdir -p "$variant_dir"
   build/tools/sarn train --network "$obs_dir/net.csv" --epochs 2 --dim 16 \
-    --encoder rfn --plan off --embeddings "$variant_dir/emb_rfn_dynamic.csv"
-  build/tools/sarn train --network "$obs_dir/net.csv" --epochs 2 --dim 16 \
-    --encoder rfn --plan replay --embeddings "$variant_dir/emb_rfn_replay.csv"
-  if ! cmp -s "$variant_dir/emb_rfn_dynamic.csv" "$variant_dir/emb_rfn_replay.csv"; then
-    echo "verify: --plan replay embeddings differ from the dynamic tape (rfn)" >&2
-    exit 1
-  fi
+    --encoder rfn --embeddings "$variant_dir/emb_rfn.csv"
   build/tools/sarn train --network "$obs_dir/net.csv" --epochs 2 --dim 16 \
     --augmentation third-law --embeddings "$variant_dir/emb_third_law.csv"
   # Query-serving suite: batch/sequential bitwise equivalence, cache + epoch
@@ -208,6 +183,24 @@ if [[ "$mode" != "--tsan-only" ]]; then
   cmake --build build-nosimd -j"$jobs" \
     --target simd_kernels_test quantized_index_test embedding_index_test
   (cd build-nosimd && ctest --output-on-failure -L simd)
+  # Kernel-tier smokes: training with the scalar blocked matmul kernels
+  # (SARN_SIMD=scalar) must write embeddings byte-identical to the default
+  # run, which uses the compiled AVX2 kernels on AVX2 hosts — for the
+  # default composition and for the RFN encoder.
+  tier_dir="build/verify_tiers"
+  rm -rf "$tier_dir" && mkdir -p "$tier_dir"
+  for encoder in gat rfn; do
+    build/tools/sarn train --network "$obs_dir/net.csv" --epochs 2 --dim 16 \
+      --encoder "$encoder" --embeddings "$tier_dir/emb_${encoder}_default.csv"
+    SARN_SIMD=scalar build/tools/sarn train --network "$obs_dir/net.csv" \
+      --epochs 2 --dim 16 --encoder "$encoder" \
+      --embeddings "$tier_dir/emb_${encoder}_scalar.csv"
+    if ! cmp -s "$tier_dir/emb_${encoder}_default.csv" \
+        "$tier_dir/emb_${encoder}_scalar.csv"; then
+      echo "verify: SARN_SIMD=scalar embeddings differ from the default run ($encoder)" >&2
+      exit 1
+    fi
+  done
 fi
 
 if [[ "$mode" != "--no-tsan" && "$mode" != "--no-asan" ]]; then
@@ -217,9 +210,9 @@ if [[ "$mode" != "--no-tsan" && "$mode" != "--no-asan" ]]; then
              sarn_model_test obs_metrics_test obs_trace_test \
              obs_request_trace_test serve_engine_test \
              storage_pool_test simd_kernels_test quantized_index_test \
-             snapshot_roundtrip_test plan_test encoder_plane_test
+             snapshot_roundtrip_test encoder_plane_test
   (cd build-tsan && ctest --output-on-failure \
-    -R '^(parallel_test|ops_test|nn_gat_test|serialization_test|sarn_model_test|obs_metrics_test|obs_trace_test|obs_request_trace_test|serve_engine_test|storage_pool_test|simd_kernels_test|quantized_index_test|snapshot_roundtrip_test|plan_test|encoder_plane_test)$')
+    -R '^(parallel_test|ops_test|nn_gat_test|serialization_test|sarn_model_test|obs_metrics_test|obs_trace_test|obs_request_trace_test|serve_engine_test|storage_pool_test|simd_kernels_test|quantized_index_test|snapshot_roundtrip_test|encoder_plane_test)$')
 fi
 
 if [[ "$mode" != "--tsan-only" && "$mode" != "--no-asan" ]]; then
@@ -229,16 +222,16 @@ if [[ "$mode" != "--tsan-only" && "$mode" != "--no-asan" ]]; then
   cmake --build build-asan -j"$jobs" \
     --target storage_pool_test tensor_test simd_kernels_test \
              quantized_index_test snapshot_corruption_test \
-             snapshot_roundtrip_test plan_test encoder_plane_test sarn_cli
+             snapshot_roundtrip_test encoder_plane_test sarn_cli
   (cd build-asan && ctest --output-on-failure \
-    -R '^(storage_pool_test|tensor_test|simd_kernels_test|quantized_index_test|snapshot_corruption_test|snapshot_roundtrip_test|plan_test|encoder_plane_test)$')
+    -R '^(storage_pool_test|tensor_test|simd_kernels_test|quantized_index_test|snapshot_corruption_test|snapshot_roundtrip_test|encoder_plane_test)$')
   asan_dir="build-asan/verify_leak"
   rm -rf "$asan_dir" && mkdir -p "$asan_dir"
   build-asan/tools/sarn generate --city CD --scale 0.015 --out "$asan_dir/net.csv"
-  # Replay mode so the leak gate also covers plan capture, arena slots and
-  # the compiled-kernel backward closures.
+  # The default training path: fused GAT tape nodes and, on AVX2 hosts, the
+  # compiled-kernel backward closures.
   build-asan/tools/sarn train --network "$asan_dir/net.csv" --epochs 2 --dim 16 \
-    --plan replay --embeddings "$asan_dir/emb.csv"
+    --embeddings "$asan_dir/emb.csv"
 fi
 
 echo "verify: OK"
