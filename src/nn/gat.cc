@@ -24,6 +24,27 @@ const EdgeList& EdgeList::WithSelfLoops(int64_t num_vertices) const {
   return *self_loop_cache_;
 }
 
+namespace {
+
+const tensor::IndexGroupsPtr& CachedGroups(tensor::IndexGroupsPtr& cache,
+                                           const std::vector<int64_t>& index,
+                                           int64_t num_vertices) {
+  if (!cache || cache->num_rows != num_vertices || cache->size() != index.size()) {
+    cache = tensor::GroupByIndex(index, num_vertices);
+  }
+  return cache;
+}
+
+}  // namespace
+
+const tensor::IndexGroupsPtr& EdgeList::SrcGroups(int64_t num_vertices) const {
+  return CachedGroups(src_groups_, src, num_vertices);
+}
+
+const tensor::IndexGroupsPtr& EdgeList::DstGroups(int64_t num_vertices) const {
+  return CachedGroups(dst_groups_, dst, num_vertices);
+}
+
 GatLayer::GatLayer(int64_t in_dim, int64_t head_dim, int num_heads, bool concat_heads,
                    Activation activation, Rng& rng, float leaky_relu_slope,
                    bool add_self_loops, bool residual, bool use_attention)
@@ -56,7 +77,7 @@ Tensor GatLayer::Forward(const Tensor& x, const EdgeList& edges) const {
   // repeated Forward calls on the same view) builds it once.
   const EdgeList& graph = add_self_loops_ ? edges.WithSelfLoops(n) : edges;
   const std::vector<int64_t>& src = graph.src;
-  const std::vector<int64_t>& dst = graph.dst;
+  const tensor::IndexGroupsPtr& dst = graph.DstGroups(n);
   int64_t e_count = static_cast<int64_t>(src.size());
 
   // Fused per-head projection: one [n, in] x [in, num_heads * head_dim]
@@ -73,12 +94,15 @@ Tensor GatLayer::Forward(const Tensor& x, const EdgeList& edges) const {
   // skip the [E, ...] intermediates entirely; with it on, each chain is one
   // tape node with bitwise-identical gradients.
   const bool recording = tensor::GradModeEnabled();
+  // Only the backward scatters into source rows, so only a recorded pass
+  // needs the source grouping.
+  const tensor::IndexGroupsPtr src_groups = recording ? graph.SrcGroups(n) : nullptr;
 
   // Footnote-1 ablation: softmax of constant scores = uniform mean over each
   // vertex's incoming edges; identical for every head, so computed once.
   Tensor uniform_alpha;
   if (!use_attention_) {
-    uniform_alpha = tensor::EdgeSoftmax(Tensor::Zeros({e_count}), dst, n);
+    uniform_alpha = tensor::EdgeSoftmax(Tensor::Zeros({e_count}), dst);
   }
 
   std::vector<Tensor> head_outputs;
@@ -91,15 +115,16 @@ Tensor GatLayer::Forward(const Tensor& x, const EdgeList& edges) const {
     if (use_attention_) {
       Tensor score_src = tensor::MatMul(wx, att_src_[h]);  // [n, 1]
       Tensor score_dst = tensor::MatMul(wx, att_dst_[h]);  // [n, 1]
-      Tensor scores = recording ? tensor::FusedEdgeScoreActivate(score_src, score_dst, src,
-                                                                 dst, leaky_relu_slope_)
-                                : tensor::FusedEdgeScores(score_src, score_dst, src, dst,
-                                                          leaky_relu_slope_);  // [E]
-      alpha = tensor::EdgeSoftmax(scores, dst, n);
+      Tensor scores = recording ? tensor::FusedEdgeScoreActivate(score_src, score_dst,
+                                                                 src_groups, dst,
+                                                                 leaky_relu_slope_)
+                                : tensor::FusedEdgeScores(score_src, score_dst, src,
+                                                          graph.dst, leaky_relu_slope_);  // [E]
+      alpha = tensor::EdgeSoftmax(scores, dst);
     }
     head_outputs.push_back(  // [n, head_dim]
-        recording ? tensor::ScaleScatterRows(tensor::Rows(wx, src), alpha, dst, n)
-                  : tensor::FusedGatherScaleScatter(wx, src, dst, alpha, n));
+        recording ? tensor::ScaleScatterRows(tensor::GroupedRows(wx, src_groups), alpha, dst)
+                  : tensor::FusedGatherScaleScatter(wx, src, dst, alpha));
   }
 
   Tensor combined;

@@ -15,6 +15,7 @@
 
 #include "nn/linear.h"
 #include "nn/module.h"
+#include "tensor/ops.h"
 #include "tensor/tensor.h"
 
 namespace sarn::nn {
@@ -38,10 +39,19 @@ struct EdgeList {
   /// concurrently on the same instance (same contract as Tensor).
   const EdgeList& WithSelfLoops(int64_t num_vertices) const;
 
+  /// `src` / `dst` grouped by vertex (tensor::GroupByIndex), the form the
+  /// scatter ops take. Built lazily, range-checked once and cached on the
+  /// instance under the same contract as WithSelfLoops, so a graph view is
+  /// grouped once per Forward stack rather than once per op call.
+  const tensor::IndexGroupsPtr& SrcGroups(int64_t num_vertices) const;
+  const tensor::IndexGroupsPtr& DstGroups(int64_t num_vertices) const;
+
  private:
   mutable std::shared_ptr<const EdgeList> self_loop_cache_;
   mutable int64_t cached_vertices_ = -1;
   mutable size_t cached_edges_ = 0;
+  mutable tensor::IndexGroupsPtr src_groups_;
+  mutable tensor::IndexGroupsPtr dst_groups_;
 };
 
 /// One multi-head GAT layer.

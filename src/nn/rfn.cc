@@ -14,9 +14,10 @@ using tensor::Tensor;
 // Vertices with no incoming edges of this relation get a zero row.
 Tensor MeanAggregate(const Tensor& x, const EdgeList& edges, int64_t n) {
   int64_t e_count = static_cast<int64_t>(edges.size());
-  Tensor alpha = tensor::EdgeSoftmax(Tensor::Zeros({e_count}), edges.dst, n);
-  Tensor messages = tensor::ScaleRows(tensor::Rows(x, edges.src), alpha);
-  return tensor::ScatterAddRows(messages, edges.dst, n);  // [n, d]
+  const tensor::IndexGroupsPtr& dst = edges.DstGroups(n);
+  Tensor alpha = tensor::EdgeSoftmax(Tensor::Zeros({e_count}), dst);
+  Tensor messages = tensor::ScaleRows(tensor::GroupedRows(x, edges.SrcGroups(n)), alpha);
+  return tensor::ScatterAddRows(messages, dst);  // [n, d]
 }
 
 }  // namespace

@@ -32,6 +32,68 @@ RowMajor Layout(const Tensor& t) {
   return RowMajor{t.shape()[0], t.shape()[1]};
 }
 
+// Pool partitioning (DESIGN.md §7). Every loop below that runs on the
+// kernel pool writes each output element from exactly one thread, and any
+// element that receives several contributions receives them in the order the
+// serial loop would, so results are bitwise identical at any thread count.
+//
+// Elements per pool chunk for streaming ops: enough float traffic to
+// amortise a chunk's dispatch. MatMulRowGrain is the compute-bound
+// counterpart.
+constexpr size_t kElementGrain = 8192;
+
+// Rows per pool chunk when each row costs `row_elements` element updates.
+size_t RowGrain(int64_t row_elements) {
+  return std::max<size_t>(
+      1, kElementGrain / static_cast<size_t>(std::max<int64_t>(1, row_elements)));
+}
+
+// Runs body(begin, end) over a partition of [0, n) on the kernel pool.
+// ParallelFor takes a std::function; handing it a closure of one reference
+// keeps the callable in std::function's inline buffer, so an op call never
+// allocates from the global heap.
+template <typename Body>
+void PoolFor(size_t n, size_t grain, const Body& body) {
+  ParallelFor(n, [&body](size_t begin, size_t end) { body(begin, end); }, grain);
+}
+
+// f(i) for every element index i in [0, n), partitioned over the pool.
+template <typename F>
+void ForEachElement(size_t n, const F& f) {
+  PoolFor(n, kElementGrain, [&f](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) f(i);
+  });
+}
+
+// f(row) for every row in [0, rows), partitioned over the pool in chunks of
+// RowGrain(row_elements) rows.
+template <typename F>
+void ForEachRow(int64_t rows, int64_t row_elements, const F& f) {
+  PoolFor(static_cast<size_t>(rows), RowGrain(row_elements),
+          [&f](size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i) f(static_cast<int64_t>(i));
+          });
+}
+
+// The destination-grouped scatter: f(v, first, last) for every target row v,
+// where [first, last) lists the positions e with index[e] == v in ascending
+// order — the order of a serial loop over e. Each pool thread owns whole
+// target rows. `row_elements` is the work of one (v, e) visit.
+template <typename F>
+void ForEachGroup(const IndexGroups& groups, int64_t row_elements, const F& f) {
+  int64_t rows = groups.num_rows;
+  int64_t mean_degree =
+      rows > 0 ? (static_cast<int64_t>(groups.size()) + rows - 1) / rows : 1;
+  const int64_t* offsets = groups.offsets.data();
+  const int64_t* order = groups.order.data();
+  size_t grain = RowGrain(row_elements * std::max<int64_t>(1, mean_degree));
+  PoolFor(static_cast<size_t>(rows), grain, [&](size_t begin, size_t end) {
+    for (size_t v = begin; v < end; ++v) {
+      f(static_cast<int64_t>(v), order + offsets[v], order + offsets[v + 1]);
+    }
+  });
+}
+
 // How operand b aligns against operand a in a binary op.
 enum class Broadcast {
   kSame,    // identical element counts and (logical) shapes
@@ -65,60 +127,79 @@ Broadcast ResolveBroadcast(const Tensor& a, const Tensor& b) {
 template <typename Fwd, typename DfDx, typename DfDy>
 Tensor BinaryOp(const Tensor& a, const Tensor& b, Fwd fwd, DfDx dfdx, DfDy dfdy) {
   Broadcast mode = ResolveBroadcast(a, b);
-  const Storage& av = a.data();
-  const Storage& bv = b.data();
-  int64_t n_cols = (mode == Broadcast::kRowVec) ? a.shape()[1] : 0;
-  Storage out = Storage::Uninitialized(av.size());
-  switch (mode) {
-    case Broadcast::kSame:
-      for (size_t i = 0; i < av.size(); ++i) out[i] = fwd(av[i], bv[i]);
-      break;
-    case Broadcast::kRowVec:
-      for (size_t i = 0; i < av.size(); ++i) out[i] = fwd(av[i], bv[i % n_cols]);
-      break;
-    case Broadcast::kScalar:
-      for (size_t i = 0; i < av.size(); ++i) out[i] = fwd(av[i], bv[0]);
-      break;
-  }
+  const float* av = a.data().data();
+  const float* bv = b.data().data();
+  size_t n_cols = (mode == Broadcast::kRowVec) ? static_cast<size_t>(a.shape()[1]) : 0;
+  size_t n = a.data().size();
+  Storage out = Storage::Uninitialized(n);
+  float* od = out.data();
+  PoolFor(n, kElementGrain, [&](size_t begin, size_t end) {
+    switch (mode) {
+      case Broadcast::kSame:
+        for (size_t i = begin; i < end; ++i) od[i] = fwd(av[i], bv[i]);
+        break;
+      case Broadcast::kRowVec:
+        for (size_t i = begin; i < end; ++i) od[i] = fwd(av[i], bv[i % n_cols]);
+        break;
+      case Broadcast::kScalar:
+        for (size_t i = begin; i < end; ++i) od[i] = fwd(av[i], bv[0]);
+        break;
+    }
+  });
   auto ai = a.impl();
   auto bi = b.impl();
   return MakeOpResult(
       a.shape(), std::move(out), {a, b},
       [ai, bi, mode, n_cols, fwd, dfdx, dfdy](TensorImpl& o) {
-        const Storage& g = o.grad;
-        auto b_at = [&](size_t i) -> float {
+        const float* g = o.grad.data();
+        const float* x = ai->data.data();
+        const float* y = bi->data.data();
+        const float* out = o.data.data();
+        size_t n = o.grad.size();
+        auto b_index = [&](size_t i) -> size_t {
           switch (mode) {
             case Broadcast::kSame:
-              return bi->data[i];
+              return i;
             case Broadcast::kRowVec:
-              return bi->data[i % n_cols];
+              return i % n_cols;
             case Broadcast::kScalar:
-              return bi->data[0];
+              return 0;
           }
-          return 0.0f;
+          return 0;
         };
         if (ai->requires_grad) {
           ai->EnsureGrad();
-          for (size_t i = 0; i < g.size(); ++i) {
-            ai->grad[i] += g[i] * dfdx(ai->data[i], b_at(i), o.data[i]);
-          }
+          float* ga = ai->grad.data();
+          ForEachElement(n, [&](size_t i) { ga[i] += g[i] * dfdx(x[i], y[b_index(i)], out[i]); });
         }
-        if (bi->requires_grad) {
-          bi->EnsureGrad();
-          for (size_t i = 0; i < g.size(); ++i) {
-            float contribution = g[i] * dfdy(ai->data[i], b_at(i), o.data[i]);
-            switch (mode) {
-              case Broadcast::kSame:
-                bi->grad[i] += contribution;
-                break;
-              case Broadcast::kRowVec:
-                bi->grad[i % n_cols] += contribution;
-                break;
-              case Broadcast::kScalar:
-                bi->grad[0] += contribution;
-                break;
-            }
+        if (!bi->requires_grad) return;
+        bi->EnsureGrad();
+        float* gb = bi->grad.data();
+        auto contribution = [&](size_t i) -> float {
+          return g[i] * dfdy(x[i], y[b_index(i)], out[i]);
+        };
+        switch (mode) {
+          case Broadcast::kSame:
+            ForEachElement(n, [&](size_t i) { gb[i] += contribution(i); });
+            break;
+          case Broadcast::kRowVec: {
+            // A column reduction: each thread owns whole columns of gb and
+            // adds their rows in ascending order, as the serial loop did.
+            size_t rows = n / n_cols;
+            PoolFor(n_cols, RowGrain(static_cast<int64_t>(rows)),
+                    [&](size_t col_begin, size_t col_end) {
+                      for (size_t r = 0; r < rows; ++r) {
+                        for (size_t j = col_begin; j < col_end; ++j) {
+                          gb[j] += contribution(r * n_cols + j);
+                        }
+                      }
+                    });
+            break;
           }
+          case Broadcast::kScalar:
+            // Every element accumulates into gb[0]: one serial chain.
+            for (size_t i = 0; i < n; ++i) gb[0] += contribution(i);
+            break;
         }
       });
 }
@@ -126,16 +207,20 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, Fwd fwd, DfDx dfdx, DfDy dfdy)
 // Generic elementwise unary. `dfd(x, out)` is the local derivative.
 template <typename Fwd, typename Df>
 Tensor UnaryOp(const Tensor& a, Fwd fwd, Df dfd) {
-  const Storage& av = a.data();
-  Storage out = Storage::Uninitialized(av.size());
-  for (size_t i = 0; i < av.size(); ++i) out[i] = fwd(av[i]);
+  const float* av = a.data().data();
+  size_t n = a.data().size();
+  Storage out = Storage::Uninitialized(n);
+  float* od = out.data();
+  ForEachElement(n, [&](size_t i) { od[i] = fwd(av[i]); });
   auto ai = a.impl();
   return MakeOpResult(a.shape(), std::move(out), {a}, [ai, dfd](TensorImpl& o) {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
-    for (size_t i = 0; i < o.grad.size(); ++i) {
-      ai->grad[i] += o.grad[i] * dfd(ai->data[i], o.data[i]);
-    }
+    float* ga = ai->grad.data();
+    const float* g = o.grad.data();
+    const float* x = ai->data.data();
+    const float* y = o.data.data();
+    ForEachElement(o.grad.size(), [&](size_t i) { ga[i] += g[i] * dfd(x[i], y[i]); });
   });
 }
 
@@ -296,20 +381,17 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   // Split so each chunk holds >= ~64k multiply-adds; chunks of kMr rows keep
   // the register tiles full except at a range boundary.
   size_t grain = MatMulRowGrain(k, n);
-  ParallelFor(
-      static_cast<size_t>(m),
-      [&](size_t begin, size_t end) {
+  PoolFor(static_cast<size_t>(m), grain, [&](size_t begin, size_t end) {
 #if defined(SARN_HAVE_AVX2_KERNELS)
-        if (compiled) {
-          kernels::MatMulInitAvx2(ad, bd, od, static_cast<int64_t>(begin),
-                                  static_cast<int64_t>(end), k, n);
-          return;
-        }
+    if (compiled) {
+      kernels::MatMulInitAvx2(ad, bd, od, static_cast<int64_t>(begin),
+                              static_cast<int64_t>(end), k, n);
+      return;
+    }
 #endif
-        kernels::MatMulBlockedInit(ad, bd, od, static_cast<int64_t>(begin),
-                                   static_cast<int64_t>(end), k, n);
-      },
-      grain);
+    kernels::MatMulBlockedInit(ad, bd, od, static_cast<int64_t>(begin),
+                               static_cast<int64_t>(end), k, n);
+  });
   auto ai = a.impl();
   auto bi = b.impl();
   return MakeOpResult({m, n}, std::move(out), {a, b},
@@ -328,24 +410,18 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         for (int64_t kk = 0; kk < k; ++kk) {
           for (int64_t j = 0; j < n; ++j) btd[j * k + kk] = bd[kk * n + j];
         }
-        ParallelFor(
-            static_cast<size_t>(m),
-            [&](size_t begin, size_t end) {
-              kernels::MatMulGradATAvx2(g, btd, ga, static_cast<int64_t>(begin),
-                                        static_cast<int64_t>(end), k, n);
-            },
-            MatMulRowGrain(k, n));
+        PoolFor(static_cast<size_t>(m), MatMulRowGrain(k, n), [&](size_t begin, size_t end) {
+          kernels::MatMulGradATAvx2(g, btd, ga, static_cast<int64_t>(begin),
+                                    static_cast<int64_t>(end), k, n);
+        });
       } else
 #endif
       {
         // dA = G * B^T : [m,n] x [n,k]
-        ParallelFor(
-            static_cast<size_t>(m),
-            [&](size_t begin, size_t end) {
-              kernels::MatMulGradABlocked(g, bd, ga, static_cast<int64_t>(begin),
-                                          static_cast<int64_t>(end), k, n);
-            },
-            MatMulRowGrain(k, n));
+        PoolFor(static_cast<size_t>(m), MatMulRowGrain(k, n), [&](size_t begin, size_t end) {
+          kernels::MatMulGradABlocked(g, bd, ga, static_cast<int64_t>(begin),
+                                      static_cast<int64_t>(end), k, n);
+        });
       }
     }
     if (bi->requires_grad) {
@@ -353,20 +429,17 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       float* gb = bi->grad.data();
       const float* ad = ai->data.data();
       // dB = A^T * G : [k,m] x [m,n]; parallel over k (rows of dB).
-      ParallelFor(
-          static_cast<size_t>(k),
-          [&](size_t begin, size_t end) {
+      PoolFor(static_cast<size_t>(k), MatMulRowGrain(m, n), [&](size_t begin, size_t end) {
 #if defined(SARN_HAVE_AVX2_KERNELS)
-            if (compiled) {
-              kernels::MatMulGradBAvx2(ad, g, gb, static_cast<int64_t>(begin),
-                                       static_cast<int64_t>(end), m, k, n);
-              return;
-            }
+        if (compiled) {
+          kernels::MatMulGradBAvx2(ad, g, gb, static_cast<int64_t>(begin),
+                                   static_cast<int64_t>(end), m, k, n);
+          return;
+        }
 #endif
-            kernels::MatMulGradBBlocked(ad, g, gb, static_cast<int64_t>(begin),
-                                        static_cast<int64_t>(end), m, k, n);
-          },
-          MatMulRowGrain(m, n));
+        kernels::MatMulGradBBlocked(ad, g, gb, static_cast<int64_t>(begin),
+                                    static_cast<int64_t>(end), m, k, n);
+      });
     }
   });
 }
@@ -399,7 +472,9 @@ Tensor Reshape(const Tensor& a, const Shape& shape) {
   return MakeOpResult(shape, a.data().Share(), {a}, [ai](TensorImpl& o) {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
-    for (size_t i = 0; i < o.grad.size(); ++i) ai->grad[i] += o.grad[i];
+    float* ga = ai->grad.data();
+    const float* g = o.grad.data();
+    ForEachElement(o.grad.size(), [&](size_t i) { ga[i] += g[i]; });
   });
 }
 
@@ -413,7 +488,8 @@ Tensor Sum(const Tensor& a) {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     float g = o.grad[0];
-    for (float& gv : ai->grad) gv += g;
+    float* ga = ai->grad.data();
+    ForEachElement(ai->grad.size(), [&](size_t i) { ga[i] += g; });
   });
 }
 
@@ -464,7 +540,7 @@ Tensor MeanAxis(const Tensor& a, int axis) {
 Tensor RowSoftmax(const Tensor& a) {
   RowMajor rm = Layout(a);
   Storage out = Storage::Uninitialized(a.data().size());
-  for (int64_t i = 0; i < rm.rows; ++i) {
+  ForEachRow(rm.rows, rm.cols, [&](int64_t i) {
     const float* row = rm.row(a.data(), i);
     float* orow = rm.row(out, i);
     float mx = -std::numeric_limits<float>::infinity();
@@ -476,26 +552,26 @@ Tensor RowSoftmax(const Tensor& a) {
     }
     float inv = static_cast<float>(1.0 / sum);
     for (int64_t j = 0; j < rm.cols; ++j) orow[j] *= inv;
-  }
+  });
   auto ai = a.impl();
   return MakeOpResult(a.shape(), std::move(out), {a}, [ai, rm](TensorImpl& o) {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
-    for (int64_t i = 0; i < rm.rows; ++i) {
+    ForEachRow(rm.rows, rm.cols, [&](int64_t i) {
       const float* y = rm.row(o.data, i);
       const float* g = rm.row(o.grad, i);
       float* ga = rm.row(ai->grad, i);
       double dot = 0.0;
       for (int64_t j = 0; j < rm.cols; ++j) dot += static_cast<double>(g[j]) * y[j];
       for (int64_t j = 0; j < rm.cols; ++j) ga[j] += (g[j] - static_cast<float>(dot)) * y[j];
-    }
+    });
   });
 }
 
 Tensor RowLogSoftmax(const Tensor& a) {
   RowMajor rm = Layout(a);
   Storage out = Storage::Uninitialized(a.data().size());
-  for (int64_t i = 0; i < rm.rows; ++i) {
+  ForEachRow(rm.rows, rm.cols, [&](int64_t i) {
     const float* row = rm.row(a.data(), i);
     float* orow = rm.row(out, i);
     float mx = -std::numeric_limits<float>::infinity();
@@ -504,12 +580,12 @@ Tensor RowLogSoftmax(const Tensor& a) {
     for (int64_t j = 0; j < rm.cols; ++j) sum += std::exp(static_cast<double>(row[j]) - mx);
     float lse = mx + static_cast<float>(std::log(sum));
     for (int64_t j = 0; j < rm.cols; ++j) orow[j] = row[j] - lse;
-  }
+  });
   auto ai = a.impl();
   return MakeOpResult(a.shape(), std::move(out), {a}, [ai, rm](TensorImpl& o) {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
-    for (int64_t i = 0; i < rm.rows; ++i) {
+    ForEachRow(rm.rows, rm.cols, [&](int64_t i) {
       const float* y = rm.row(o.data, i);
       const float* g = rm.row(o.grad, i);
       float* ga = rm.row(ai->grad, i);
@@ -518,7 +594,7 @@ Tensor RowLogSoftmax(const Tensor& a) {
       for (int64_t j = 0; j < rm.cols; ++j) {
         ga[j] += g[j] - static_cast<float>(gsum) * std::exp(y[j]);
       }
-    }
+    });
   });
 }
 
@@ -526,7 +602,7 @@ Tensor RowL2Normalize(const Tensor& a, float eps) {
   RowMajor rm = Layout(a);
   Storage out = Storage::Uninitialized(a.data().size());
   Storage norms = Storage::Uninitialized(static_cast<size_t>(rm.rows));
-  for (int64_t i = 0; i < rm.rows; ++i) {
+  ForEachRow(rm.rows, rm.cols, [&](int64_t i) {
     const float* row = rm.row(a.data(), i);
     double sq = 0.0;
     for (int64_t j = 0; j < rm.cols; ++j) sq += static_cast<double>(row[j]) * row[j];
@@ -535,13 +611,13 @@ Tensor RowL2Normalize(const Tensor& a, float eps) {
     float inv = 1.0f / norm;
     float* orow = rm.row(out, i);
     for (int64_t j = 0; j < rm.cols; ++j) orow[j] = row[j] * inv;
-  }
+  });
   auto ai = a.impl();
   return MakeOpResult(a.shape(), std::move(out), {a},
                       [ai, rm, norms = std::move(norms), eps](TensorImpl& o) {
                         if (!ai->requires_grad) return;
                         ai->EnsureGrad();
-                        for (int64_t i = 0; i < rm.rows; ++i) {
+                        ForEachRow(rm.rows, rm.cols, [&](int64_t i) {
                           const float* x = rm.row(ai->data, i);
                           const float* g = rm.row(o.grad, i);
                           float* ga = rm.row(ai->grad, i);
@@ -549,7 +625,7 @@ Tensor RowL2Normalize(const Tensor& a, float eps) {
                           float inv = 1.0f / norm;
                           if (norm <= eps) {
                             for (int64_t j = 0; j < rm.cols; ++j) ga[j] += g[j] * inv;
-                            continue;
+                            return;
                           }
                           double dot = 0.0;
                           for (int64_t j = 0; j < rm.cols; ++j) {
@@ -559,7 +635,7 @@ Tensor RowL2Normalize(const Tensor& a, float eps) {
                           for (int64_t j = 0; j < rm.cols; ++j) {
                             ga[j] += g[j] * inv - x[j] * scale;
                           }
-                        }
+                        });
                       });
 }
 
@@ -568,7 +644,7 @@ Tensor DotRows(const Tensor& a, const Tensor& b) {
       << ShapeToString(a.shape()) << " vs " << ShapeToString(b.shape());
   RowMajor rm = Layout(a);
   Storage out = Storage::Uninitialized(static_cast<size_t>(rm.rows));
-  for (int64_t i = 0; i < rm.rows; ++i) {
+  ForEachRow(rm.rows, rm.cols, [&](int64_t i) {
     const float* arow = rm.row(a.data(), i);
     const float* brow = rm.row(b.data(), i);
     double acc = 0.0;
@@ -576,25 +652,27 @@ Tensor DotRows(const Tensor& a, const Tensor& b) {
       acc += static_cast<double>(arow[j]) * brow[j];
     }
     out[static_cast<size_t>(i)] = static_cast<float>(acc);
-  }
+  });
   auto ai = a.impl();
   auto bi = b.impl();
   return MakeOpResult({rm.rows}, std::move(out), {a, b}, [ai, bi, rm](TensorImpl& o) {
-    for (int64_t i = 0; i < rm.rows; ++i) {
+    if (ai->requires_grad) ai->EnsureGrad();
+    if (bi->requires_grad) bi->EnsureGrad();
+    // Row i's two updates stay in the serial order (a, then b), which
+    // matters when a and b are the same tensor.
+    ForEachRow(rm.rows, 2 * rm.cols, [&](int64_t i) {
       float g = o.grad[static_cast<size_t>(i)];
       if (ai->requires_grad) {
-        ai->EnsureGrad();
         const float* brow = rm.row(bi->data, i);
         float* ga = rm.row(ai->grad, i);
         for (int64_t j = 0; j < rm.cols; ++j) ga[j] += g * brow[j];
       }
       if (bi->requires_grad) {
-        bi->EnsureGrad();
         const float* arow = rm.row(ai->data, i);
         float* gb = rm.row(bi->grad, i);
         for (int64_t j = 0; j < rm.cols; ++j) gb[j] += g * arow[j];
       }
-    }
+    });
   });
 }
 
@@ -603,54 +681,80 @@ Tensor ScaleRows(const Tensor& a, const Tensor& scale) {
   SARN_CHECK_EQ(scale.numel(), rm.rows) << "ScaleRows " << ShapeToString(a.shape())
                                         << " by " << ShapeToString(scale.shape());
   Storage out = Storage::Uninitialized(a.data().size());
-  for (int64_t i = 0; i < rm.rows; ++i) {
+  ForEachRow(rm.rows, rm.cols, [&](int64_t i) {
     float s = scale.data()[static_cast<size_t>(i)];
     const float* row = rm.row(a.data(), i);
     float* orow = rm.row(out, i);
     for (int64_t j = 0; j < rm.cols; ++j) orow[j] = row[j] * s;
-  }
+  });
   auto ai = a.impl();
   auto si = scale.impl();
   return MakeOpResult(a.shape(), std::move(out), {a, scale}, [ai, si, rm](TensorImpl& o) {
-    for (int64_t i = 0; i < rm.rows; ++i) {
+    if (ai->requires_grad) ai->EnsureGrad();
+    if (si->requires_grad) si->EnsureGrad();
+    ForEachRow(rm.rows, 2 * rm.cols, [&](int64_t i) {
       const float* g = rm.row(o.grad, i);
       float s = si->data[static_cast<size_t>(i)];
       if (ai->requires_grad) {
-        ai->EnsureGrad();
         float* ga = rm.row(ai->grad, i);
         for (int64_t j = 0; j < rm.cols; ++j) ga[j] += g[j] * s;
       }
       if (si->requires_grad) {
-        si->EnsureGrad();
         const float* arow = rm.row(ai->data, i);
         double acc = 0.0;
         for (int64_t j = 0; j < rm.cols; ++j) acc += static_cast<double>(g[j]) * arow[j];
         si->grad[static_cast<size_t>(i)] += static_cast<float>(acc);
       }
-    }
+    });
   });
 }
 
-Tensor Rows(const Tensor& a, const std::vector<int64_t>& indices) {
+namespace {
+
+// out[r] = a[index[r]] for r in [0, count), row-partitioned.
+Storage CopyRows(const Tensor& a, const int64_t* index, int64_t count) {
   RowMajor rm = Layout(a);
-  int64_t m = static_cast<int64_t>(indices.size());
-  Storage out = Storage::Uninitialized(static_cast<size_t>(m * rm.cols));
-  for (int64_t r = 0; r < m; ++r) {
-    int64_t src = indices[static_cast<size_t>(r)];
+  Storage out = Storage::Uninitialized(static_cast<size_t>(count * rm.cols));
+  ForEachRow(count, rm.cols, [&](int64_t r) {
+    int64_t src = index[r];
     SARN_CHECK(src >= 0 && src < rm.rows) << "row index " << src;
     std::copy_n(rm.row(a.data(), src), rm.cols, out.data() + r * rm.cols);
+  });
+  return out;
+}
+
+}  // namespace
+
+Tensor Rows(const Tensor& a, const std::vector<int64_t>& indices) {
+  RowMajor rm = Layout(a);
+  // Only the backward needs the grouping: build it when a tape node will be
+  // recorded.
+  if (GradModeEnabled() && a.requires_grad()) {
+    return GroupedRows(a, GroupByIndex(indices, rm.rows));
   }
+  int64_t m = static_cast<int64_t>(indices.size());
+  return Tensor::FromStorage({m, rm.cols}, CopyRows(a, indices.data(), m));
+}
+
+Tensor GroupedRows(const Tensor& a, const IndexGroupsPtr& indices) {
+  RowMajor rm = Layout(a);
+  SARN_CHECK_EQ(indices->num_rows, rm.rows)
+      << "Rows grouping of " << ShapeToString(a.shape());
+  int64_t m = static_cast<int64_t>(indices->size());
   auto ai = a.impl();
-  return MakeOpResult({m, rm.cols}, std::move(out), {a},
-                      [ai, rm, idx = MakeIndexVec(indices)](TensorImpl& o) {
-                        if (!ai->requires_grad) return;
-                        ai->EnsureGrad();
-                        for (size_t r = 0; r < idx.size(); ++r) {
-                          const float* g = o.grad.data() + r * rm.cols;
-                          float* ga = rm.row(ai->grad, idx[r]);
-                          for (int64_t j = 0; j < rm.cols; ++j) ga[j] += g[j];
-                        }
-                      });
+  return MakeOpResult(
+      {m, rm.cols}, CopyRows(a, indices->index.data(), m), {a},
+      [ai, rm, groups = indices](TensorImpl& o) {
+        if (!ai->requires_grad) return;
+        ai->EnsureGrad();
+        ForEachGroup(*groups, rm.cols, [&](int64_t v, const int64_t* first, const int64_t* last) {
+          float* ga = rm.row(ai->grad, v);
+          for (const int64_t* r = first; r != last; ++r) {
+            const float* g = o.grad.data() + *r * rm.cols;
+            for (int64_t j = 0; j < rm.cols; ++j) ga[j] += g[j];
+          }
+        });
+      });
 }
 
 Tensor TakePerRow(const Tensor& a, const std::vector<int64_t>& cols) {
@@ -678,19 +782,19 @@ Tensor ColsRange(const Tensor& a, int64_t col, int64_t count) {
   SARN_CHECK(col >= 0 && count > 0 && col + count <= rm.cols)
       << "ColsRange [" << col << ", " << col + count << ") of " << ShapeToString(a.shape());
   Storage out = Storage::Uninitialized(static_cast<size_t>(rm.rows * count));
-  for (int64_t i = 0; i < rm.rows; ++i) {
+  ForEachRow(rm.rows, count, [&](int64_t i) {
     std::copy_n(rm.row(a.data(), i) + col, count, out.data() + i * count);
-  }
+  });
   auto ai = a.impl();
   return MakeOpResult({rm.rows, count}, std::move(out), {a},
                       [ai, rm, col, count](TensorImpl& o) {
                         if (!ai->requires_grad) return;
                         ai->EnsureGrad();
-                        for (int64_t i = 0; i < rm.rows; ++i) {
+                        ForEachRow(rm.rows, count, [&](int64_t i) {
                           const float* g = o.grad.data() + i * count;
                           float* ga = rm.row(ai->grad, i) + col;
                           for (int64_t j = 0; j < count; ++j) ga[j] += g[j];
-                        }
+                        });
                       });
 }
 
@@ -721,47 +825,48 @@ Tensor Concat(const std::vector<Tensor>& parts, int axis) {
       offset += p.data().size();
     }
   } else {
-    int64_t col_offset = 0;
-    for (const Tensor& p : parts) {
-      int64_t pn = p.shape()[1];
-      for (int64_t i = 0; i < m; ++i) {
-        std::copy_n(p.data().data() + i * pn, pn, rm.row(out, i) + col_offset);
+    ForEachRow(m, n, [&](int64_t i) {
+      float* orow = rm.row(out, i);
+      for (const Tensor& p : parts) {
+        int64_t pn = p.shape()[1];
+        orow = std::copy_n(p.data().data() + i * pn, pn, orow);
       }
-      col_offset += pn;
-    }
+    });
   }
   PoolVec<std::shared_ptr<TensorImpl>> impls;
   impls.reserve(parts.size());
   for (const Tensor& p : parts) impls.push_back(p.impl());
-  return MakeOpResult({m, n}, std::move(out), parts,
-                      [impls = std::move(impls), axis, rm](TensorImpl& o) {
-                        if (axis == 0) {
-                          size_t offset = 0;
-                          for (const auto& pi : impls) {
-                            if (pi->requires_grad) {
-                              pi->EnsureGrad();
-                              for (size_t i = 0; i < pi->data.size(); ++i) {
-                                pi->grad[i] += o.grad[offset + i];
-                              }
-                            }
-                            offset += pi->data.size();
-                          }
-                        } else {
-                          int64_t col_offset = 0;
-                          for (const auto& pi : impls) {
-                            int64_t pn = pi->shape[1];
-                            if (pi->requires_grad) {
-                              pi->EnsureGrad();
-                              for (int64_t i = 0; i < rm.rows; ++i) {
-                                const float* g = rm.row(o.grad, i) + col_offset;
-                                float* gp = pi->grad.data() + i * pn;
-                                for (int64_t j = 0; j < pn; ++j) gp[j] += g[j];
-                              }
-                            }
-                            col_offset += pn;
-                          }
-                        }
-                      });
+  return MakeOpResult(
+      {m, n}, std::move(out), parts, [impls = std::move(impls), axis, rm](TensorImpl& o) {
+        for (const auto& pi : impls) {
+          if (pi->requires_grad) pi->EnsureGrad();
+        }
+        if (axis == 0) {
+          size_t offset = 0;
+          for (const auto& pi : impls) {
+            if (pi->requires_grad) {
+              float* gp = pi->grad.data();
+              const float* g = o.grad.data() + offset;
+              ForEachElement(pi->data.size(), [&](size_t i) { gp[i] += g[i]; });
+            }
+            offset += pi->data.size();
+          }
+          return;
+        }
+        // Parts in order within each row: an element shared by two parts
+        // (the same tensor passed twice) gets their slices in part order.
+        ForEachRow(rm.rows, rm.cols, [&](int64_t i) {
+          const float* g = rm.row(o.grad, i);
+          for (const auto& pi : impls) {
+            int64_t pn = pi->shape[1];
+            if (pi->requires_grad) {
+              float* gp = pi->grad.data() + i * pn;
+              for (int64_t j = 0; j < pn; ++j) gp[j] += g[j];
+            }
+            g += pn;
+          }
+        });
+      });
 }
 
 Tensor Dropout(const Tensor& a, float p, Rng& rng) {
@@ -786,76 +891,133 @@ Tensor Dropout(const Tensor& a, float p, Rng& rng) {
                       });
 }
 
+IndexGroupsPtr GroupByIndex(const std::vector<int64_t>& index, int64_t num_rows) {
+  SARN_CHECK_GE(num_rows, 0);
+  auto groups = std::allocate_shared<IndexGroups>(PoolAllocator<IndexGroups>());
+  groups->num_rows = num_rows;
+  groups->index.assign(index.begin(), index.end());
+  IndexVec& offsets = groups->offsets;
+  offsets.assign(static_cast<size_t>(num_rows) + 1, 0);
+  for (size_t e = 0; e < index.size(); ++e) {
+    int64_t v = index[e];
+    SARN_CHECK(v >= 0 && v < num_rows)
+        << "index " << v << " at position " << e << " outside [0, " << num_rows << ")";
+    ++offsets[static_cast<size_t>(v) + 1];
+  }
+  for (size_t v = 1; v < offsets.size(); ++v) offsets[v] += offsets[v - 1];
+  // Stable counting sort: placing positions in ascending e advances each
+  // offsets[v] to the end of v's group; shifting right by one restores the
+  // starts.
+  groups->order.resize(index.size());
+  for (size_t e = 0; e < index.size(); ++e) {
+    groups->order[static_cast<size_t>(offsets[static_cast<size_t>(index[e])]++)] =
+        static_cast<int64_t>(e);
+  }
+  for (size_t v = offsets.size() - 1; v > 0; --v) offsets[v] = offsets[v - 1];
+  offsets[0] = 0;
+  return groups;
+}
+
 Tensor EdgeSoftmax(const Tensor& scores, const std::vector<int64_t>& dst,
                    int64_t num_vertices) {
+  return EdgeSoftmax(scores, GroupByIndex(dst, num_vertices));
+}
+
+Tensor EdgeSoftmax(const Tensor& scores, const IndexGroupsPtr& dst) {
   SARN_CHECK(scores.rank() == 1 || (scores.rank() == 2 && scores.shape()[1] == 1));
   int64_t e_count = scores.numel();
-  SARN_CHECK_EQ(static_cast<int64_t>(dst.size()), e_count);
-  PoolVec<float> max_per(static_cast<size_t>(num_vertices),
-                         -std::numeric_limits<float>::infinity());
-  for (int64_t e = 0; e < e_count; ++e) {
-    int64_t v = dst[static_cast<size_t>(e)];
-    SARN_DCHECK(v >= 0 && v < num_vertices);
-    max_per[static_cast<size_t>(v)] =
-        std::max(max_per[static_cast<size_t>(v)], scores.data()[static_cast<size_t>(e)]);
-  }
-  PoolVec<double> sum_per(static_cast<size_t>(num_vertices), 0.0);
+  SARN_CHECK_EQ(static_cast<int64_t>(dst->size()), e_count);
+  const float* sv = scores.data().data();
   Storage out = Storage::Uninitialized(static_cast<size_t>(e_count));
-  for (int64_t e = 0; e < e_count; ++e) {
-    size_t v = static_cast<size_t>(dst[static_cast<size_t>(e)]);
-    float ex = std::exp(scores.data()[static_cast<size_t>(e)] - max_per[v]);
-    out[static_cast<size_t>(e)] = ex;
-    sum_per[v] += ex;
-  }
-  for (int64_t e = 0; e < e_count; ++e) {
-    size_t v = static_cast<size_t>(dst[static_cast<size_t>(e)]);
-    out[static_cast<size_t>(e)] =
-        sum_per[v] > 0 ? static_cast<float>(out[static_cast<size_t>(e)] / sum_per[v]) : 0.0f;
-  }
+  float* ov = out.data();
+  ForEachGroup(*dst, 1, [&](int64_t, const int64_t* first, const int64_t* last) {
+    float mx = -std::numeric_limits<float>::infinity();
+    for (const int64_t* e = first; e != last; ++e) mx = std::max(mx, sv[*e]);
+    double sum = 0.0;
+    for (const int64_t* e = first; e != last; ++e) {
+      float ex = std::exp(sv[*e] - mx);
+      ov[*e] = ex;
+      sum += ex;
+    }
+    for (const int64_t* e = first; e != last; ++e) {
+      ov[*e] = sum > 0 ? static_cast<float>(ov[*e] / sum) : 0.0f;
+    }
+  });
   auto si = scores.impl();
-  return MakeOpResult(
-      {e_count}, std::move(out), {scores},
-      [si, idx = MakeIndexVec(dst), num_vertices](TensorImpl& o) {
-        if (!si->requires_grad) return;
-        si->EnsureGrad();
-        // Grouped softmax Jacobian: ds_e = y_e * (g_e - sum_{e' in group} g_e' y_e').
-        PoolVec<double> group_dot(static_cast<size_t>(num_vertices), 0.0);
-        for (size_t e = 0; e < idx.size(); ++e) {
-          group_dot[static_cast<size_t>(idx[e])] +=
-              static_cast<double>(o.grad[e]) * o.data[e];
-        }
-        for (size_t e = 0; e < idx.size(); ++e) {
-          si->grad[e] += o.data[e] * (o.grad[e] - static_cast<float>(
-                                                      group_dot[static_cast<size_t>(idx[e])]));
-        }
-      });
+  return MakeOpResult({e_count}, std::move(out), {scores}, [si, groups = dst](TensorImpl& o) {
+    if (!si->requires_grad) return;
+    si->EnsureGrad();
+    // Grouped softmax Jacobian: ds_e = y_e * (g_e - sum_{e' in group} g_e' y_e').
+    float* gs = si->grad.data();
+    const float* g = o.grad.data();
+    const float* y = o.data.data();
+    ForEachGroup(*groups, 1, [&](int64_t, const int64_t* first, const int64_t* last) {
+      double dot = 0.0;
+      for (const int64_t* e = first; e != last; ++e) dot += static_cast<double>(g[*e]) * y[*e];
+      for (const int64_t* e = first; e != last; ++e) {
+        gs[*e] += y[*e] * (g[*e] - static_cast<float>(dot));
+      }
+    });
+  });
 }
 
 Tensor ScatterAddRows(const Tensor& messages, const std::vector<int64_t>& dst,
                       int64_t num_vertices) {
+  return ScatterAddRows(messages, GroupByIndex(dst, num_vertices));
+}
+
+Tensor ScatterAddRows(const Tensor& messages, const IndexGroupsPtr& dst) {
   RowMajor rm = Layout(messages);
-  SARN_CHECK_EQ(static_cast<int64_t>(dst.size()), rm.rows);
-  RowMajor orm{num_vertices, rm.cols};
-  Storage out = Storage::Zeroed(static_cast<size_t>(num_vertices * rm.cols));
-  for (int64_t e = 0; e < rm.rows; ++e) {
-    int64_t v = dst[static_cast<size_t>(e)];
-    SARN_DCHECK(v >= 0 && v < num_vertices);
-    const float* msg = rm.row(messages.data(), e);
+  SARN_CHECK_EQ(static_cast<int64_t>(dst->size()), rm.rows);
+  RowMajor orm{dst->num_rows, rm.cols};
+  Storage out = Storage::Uninitialized(static_cast<size_t>(orm.rows * orm.cols));
+  ForEachGroup(*dst, rm.cols, [&](int64_t v, const int64_t* first, const int64_t* last) {
     float* orow = orm.row(out, v);
-    for (int64_t j = 0; j < rm.cols; ++j) orow[j] += msg[j];
-  }
+    std::fill_n(orow, orm.cols, 0.0f);
+    for (const int64_t* e = first; e != last; ++e) {
+      const float* msg = rm.row(messages.data(), *e);
+      for (int64_t j = 0; j < rm.cols; ++j) orow[j] += msg[j];
+    }
+  });
   auto mi = messages.impl();
-  return MakeOpResult({num_vertices, rm.cols}, std::move(out), {messages},
-                      [mi, rm, orm, idx = MakeIndexVec(dst)](TensorImpl& o) {
+  return MakeOpResult({orm.rows, orm.cols}, std::move(out), {messages},
+                      [mi, rm, orm, groups = dst](TensorImpl& o) {
                         if (!mi->requires_grad) return;
                         mi->EnsureGrad();
-                        for (size_t e = 0; e < idx.size(); ++e) {
+                        const int64_t* idx = groups->index.data();
+                        ForEachRow(rm.rows, rm.cols, [&](int64_t e) {
                           const float* g = orm.row(o.grad, idx[e]);
-                          float* gm = rm.row(mi->grad, static_cast<int64_t>(e));
+                          float* gm = rm.row(mi->grad, e);
                           for (int64_t j = 0; j < rm.cols; ++j) gm[j] += g[j];
-                        }
+                        });
                       });
 }
+
+namespace {
+
+// LeakyRelu(score_dst[dst[e]] + score_src[src[e]]) for every edge e: the
+// float order of Add(Rows(score_dst, dst), Rows(score_src, src)) followed
+// by LeakyRelu. Each edge writes only out[e].
+Storage EdgeScores(const Tensor& score_src, const Tensor& score_dst, const int64_t* src,
+                   const int64_t* dst, int64_t e_count, float negative_slope) {
+  const float* ss = score_src.data().data();
+  const float* sd = score_dst.data().data();
+  int64_t src_rows = score_src.numel();
+  int64_t dst_rows = score_dst.numel();
+  Storage out = Storage::Uninitialized(static_cast<size_t>(e_count));
+  float* ov = out.data();
+  ForEachElement(static_cast<size_t>(e_count), [&](size_t e) {
+    int64_t s = src[e];
+    int64_t d = dst[e];
+    SARN_CHECK(s >= 0 && s < src_rows && d >= 0 && d < dst_rows)
+        << "edge " << e << " (" << s << " -> " << d << ")";
+    float x = sd[d] + ss[s];
+    ov[e] = x > 0 ? x : negative_slope * x;
+  });
+  return out;
+}
+
+}  // namespace
 
 Tensor FusedEdgeScores(const Tensor& score_src, const Tensor& score_dst,
                        const std::vector<int64_t>& src, const std::vector<int64_t>& dst,
@@ -863,35 +1025,28 @@ Tensor FusedEdgeScores(const Tensor& score_src, const Tensor& score_dst,
   SARN_CHECK(!GradModeEnabled()) << "FusedEdgeScores is inference-only";
   SARN_CHECK_EQ(src.size(), dst.size());
   int64_t e_count = static_cast<int64_t>(src.size());
-  const Storage& ss = score_src.data();
-  const Storage& sd = score_dst.data();
-  Storage out = Storage::Uninitialized(static_cast<size_t>(e_count));
-  for (int64_t e = 0; e < e_count; ++e) {
-    // Same operation order as Add(Rows(score_dst, dst), Rows(score_src, src))
-    // followed by LeakyRelu — bitwise identical, no intermediates.
-    float x = sd[static_cast<size_t>(dst[static_cast<size_t>(e)])] +
-              ss[static_cast<size_t>(src[static_cast<size_t>(e)])];
-    out[static_cast<size_t>(e)] = x > 0 ? x : negative_slope * x;
-  }
-  return Tensor::FromStorage({e_count}, std::move(out));
+  return Tensor::FromStorage(
+      {e_count}, EdgeScores(score_src, score_dst, src.data(), dst.data(), e_count,
+                            negative_slope));
 }
 
 Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
                               const std::vector<int64_t>& src,
                               const std::vector<int64_t>& dst,
                               float negative_slope) {
-  SARN_CHECK_EQ(src.size(), dst.size());
-  int64_t e_count = static_cast<int64_t>(src.size());
-  const Storage& ss = score_src.data();
-  const Storage& sd = score_dst.data();
-  Storage out = Storage::Uninitialized(static_cast<size_t>(e_count));
-  for (int64_t e = 0; e < e_count; ++e) {
-    // Same float order as Add(Rows(score_dst, dst), Rows(score_src, src))
-    // followed by LeakyRelu.
-    float x = sd[static_cast<size_t>(dst[static_cast<size_t>(e)])] +
-              ss[static_cast<size_t>(src[static_cast<size_t>(e)])];
-    out[static_cast<size_t>(e)] = x > 0 ? x : negative_slope * x;
-  }
+  return FusedEdgeScoreActivate(score_src, score_dst, GroupByIndex(src, score_src.numel()),
+                                GroupByIndex(dst, score_dst.numel()), negative_slope);
+}
+
+Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
+                              const IndexGroupsPtr& src, const IndexGroupsPtr& dst,
+                              float negative_slope) {
+  SARN_CHECK_EQ(src->size(), dst->size());
+  SARN_CHECK_EQ(src->num_rows, score_src.numel());
+  SARN_CHECK_EQ(dst->num_rows, score_dst.numel());
+  int64_t e_count = static_cast<int64_t>(src->size());
+  Storage out = EdgeScores(score_src, score_dst, src->index.data(), dst->index.data(),
+                           e_count, negative_slope);
   auto ssi = score_src.impl();
   auto sdi = score_dst.impl();
   // Parent order {score_dst, score_src} mirrors Add(rows_dst, rows_src): the
@@ -900,107 +1055,125 @@ Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
   // (score_src's closure runs before score_dst's).
   return MakeOpResult(
       {e_count}, std::move(out), {score_dst, score_src},
-      [ssi, sdi, negative_slope, src_idx = MakeIndexVec(src),
-       dst_idx = MakeIndexVec(dst)](TensorImpl& o) {
+      [ssi, sdi, negative_slope, src_groups = src, dst_groups = dst](TensorImpl& o) {
         // Per edge: recompute the pre-activation x bitwise from the saved
         // inputs (LeakyRelu's derivative tests x), then scatter the chain
         // gradient g * lrelu'(x) exactly as the unfused Rows backwards do —
-        // ascending edge order, single accumulation per edge. The unfused
-        // graph updates score_src before score_dst; the targets are distinct
-        // tensors with single-assignment row gradients, so per-tensor float
-        // accumulation order (the bitwise invariant) is preserved.
-        auto chain = [&](size_t e) -> float {
+        // each target row adds its edges in ascending order. The unfused
+        // graph updates score_src before score_dst; the two phases keep that
+        // order, so even one tensor passed as both sides accumulates in the
+        // unfused order.
+        const int64_t* src_idx = src_groups->index.data();
+        const int64_t* dst_idx = dst_groups->index.data();
+        auto chain = [&](int64_t e) -> float {
           float x = sdi->data[static_cast<size_t>(dst_idx[e])] +
                     ssi->data[static_cast<size_t>(src_idx[e])];
-          return o.grad[e] * (x > 0 ? 1.0f : negative_slope);
+          return o.grad[static_cast<size_t>(e)] * (x > 0 ? 1.0f : negative_slope);
         };
-        if (ssi->requires_grad) {
-          ssi->EnsureGrad();
-          for (size_t e = 0; e < src_idx.size(); ++e) {
-            ssi->grad[static_cast<size_t>(src_idx[e])] += chain(e);
-          }
-        }
-        if (sdi->requires_grad) {
-          sdi->EnsureGrad();
-          for (size_t e = 0; e < dst_idx.size(); ++e) {
-            sdi->grad[static_cast<size_t>(dst_idx[e])] += chain(e);
-          }
-        }
+        auto scatter = [&](internal::TensorImpl& target, const IndexGroups& groups) {
+          target.EnsureGrad();
+          float* grad = target.grad.data();
+          ForEachGroup(groups, 1, [&](int64_t v, const int64_t* first, const int64_t* last) {
+            for (const int64_t* e = first; e != last; ++e) grad[v] += chain(*e);
+          });
+        };
+        if (ssi->requires_grad) scatter(*ssi, *src_groups);
+        if (sdi->requires_grad) scatter(*sdi, *dst_groups);
       });
 }
 
 Tensor ScaleScatterRows(const Tensor& rows, const Tensor& scale,
                         const std::vector<int64_t>& dst, int64_t num_vertices) {
+  return ScaleScatterRows(rows, scale, GroupByIndex(dst, num_vertices));
+}
+
+namespace {
+
+// out[v] = sum over e in v's group, ascending, of rows(e) * scale[e]: the
+// scatter both ScaleScatterRows and FusedGatherScaleScatter run. `row_of(e)`
+// yields the message row of edge e.
+template <typename RowOf>
+Storage ScaleScatter(const IndexGroups& dst, int64_t cols, const float* scale,
+                     const RowOf& row_of) {
+  RowMajor orm{dst.num_rows, cols};
+  Storage out = Storage::Uninitialized(static_cast<size_t>(orm.rows * orm.cols));
+  ForEachGroup(dst, cols, [&](int64_t v, const int64_t* first, const int64_t* last) {
+    float* orow = orm.row(out, v);
+    std::fill_n(orow, cols, 0.0f);
+    for (const int64_t* e = first; e != last; ++e) {
+      const float* row = row_of(*e);
+      float s = scale[*e];
+      for (int64_t j = 0; j < cols; ++j) {
+        // Explicit float intermediate matches the rounding of the unfused
+        // ScaleRows-then-ScatterAdd chain exactly.
+        float message = row[j] * s;
+        orow[j] += message;
+      }
+    }
+  });
+  return out;
+}
+
+}  // namespace
+
+Tensor ScaleScatterRows(const Tensor& rows, const Tensor& scale,
+                        const IndexGroupsPtr& dst) {
   RowMajor rm = Layout(rows);
   SARN_CHECK_EQ(scale.numel(), rm.rows);
-  SARN_CHECK_EQ(static_cast<int64_t>(dst.size()), rm.rows);
-  RowMajor orm{num_vertices, rm.cols};
-  Storage out = Storage::Zeroed(static_cast<size_t>(num_vertices * rm.cols));
-  for (int64_t e = 0; e < rm.rows; ++e) {
-    int64_t v = dst[static_cast<size_t>(e)];
-    SARN_DCHECK(v >= 0 && v < num_vertices);
-    const float* row = rm.row(rows.data(), e);
-    float s = scale.data()[static_cast<size_t>(e)];
-    float* orow = orm.row(out, v);
-    for (int64_t j = 0; j < rm.cols; ++j) {
-      // Explicit float intermediate matches the rounding of the unfused
-      // ScaleRows-then-ScatterAdd chain exactly.
-      float message = row[j] * s;
-      orow[j] += message;
-    }
-  }
+  SARN_CHECK_EQ(static_cast<int64_t>(dst->size()), rm.rows);
+  RowMajor orm{dst->num_rows, rm.cols};
+  Storage out = ScaleScatter(*dst, rm.cols, scale.data().data(),
+                             [&](int64_t e) { return rm.row(rows.data(), e); });
   auto ai = rows.impl();
   auto si = scale.impl();
   return MakeOpResult(
-      {num_vertices, rm.cols}, std::move(out), {rows, scale},
-      [ai, si, rm, orm, idx = MakeIndexVec(dst)](TensorImpl& o) {
+      {orm.rows, orm.cols}, std::move(out), {rows, scale},
+      [ai, si, rm, orm, groups = dst](TensorImpl& o) {
         // The unfused pair first materialises messages.grad[e] =
         // out.grad[dst[e]] (single assignment into zeros), then ScaleRows
         // consumes it per edge. Reading out.grad[dst[e]] directly yields the
         // same values; every gradient target (rows.grad row e, scale.grad[e])
-        // receives exactly one accumulation, so the per-edge interleaving
-        // cannot change any float result.
-        for (size_t e = 0; e < idx.size(); ++e) {
+        // receives exactly one accumulation, so edges split freely.
+        if (ai->requires_grad) ai->EnsureGrad();
+        if (si->requires_grad) si->EnsureGrad();
+        const int64_t* idx = groups->index.data();
+        ForEachRow(rm.rows, 2 * rm.cols, [&](int64_t e) {
           const float* g = orm.row(o.grad, idx[e]);
-          float s = si->data[e];
+          float s = si->data[static_cast<size_t>(e)];
           if (ai->requires_grad) {
-            ai->EnsureGrad();
-            float* ga = rm.row(ai->grad, static_cast<int64_t>(e));
+            float* ga = rm.row(ai->grad, e);
             for (int64_t j = 0; j < rm.cols; ++j) ga[j] += g[j] * s;
           }
           if (si->requires_grad) {
-            si->EnsureGrad();
-            const float* arow = rm.row(ai->data, static_cast<int64_t>(e));
+            const float* arow = rm.row(ai->data, e);
             double acc = 0.0;
             for (int64_t j = 0; j < rm.cols; ++j) {
               acc += static_cast<double>(g[j]) * arow[j];
             }
-            si->grad[e] += static_cast<float>(acc);
+            si->grad[static_cast<size_t>(e)] += static_cast<float>(acc);
           }
-        }
+        });
       });
 }
 
 Tensor FusedGatherScaleScatter(const Tensor& wx, const std::vector<int64_t>& src,
                                const std::vector<int64_t>& dst, const Tensor& alpha,
                                int64_t num_vertices) {
+  return FusedGatherScaleScatter(wx, src, GroupByIndex(dst, num_vertices), alpha);
+}
+
+Tensor FusedGatherScaleScatter(const Tensor& wx, const std::vector<int64_t>& src,
+                               const IndexGroupsPtr& dst, const Tensor& alpha) {
   SARN_CHECK(!GradModeEnabled()) << "FusedGatherScaleScatter is inference-only";
-  SARN_CHECK_EQ(src.size(), dst.size());
+  SARN_CHECK_EQ(src.size(), dst->size());
+  SARN_CHECK_EQ(alpha.numel(), static_cast<int64_t>(src.size()));
   RowMajor rm = Layout(wx);
-  RowMajor orm{num_vertices, rm.cols};
-  Storage out = Storage::Zeroed(static_cast<size_t>(num_vertices * rm.cols));
-  for (size_t e = 0; e < src.size(); ++e) {
-    const float* row = rm.row(wx.data(), src[e]);
-    float s = alpha.data()[e];
-    float* orow = orm.row(out, dst[e]);
-    for (int64_t j = 0; j < rm.cols; ++j) {
-      // Explicit float intermediate matches the rounding of the unfused
-      // ScaleRows-then-ScatterAdd chain exactly.
-      float message = row[j] * s;
-      orow[j] += message;
-    }
-  }
-  return Tensor::FromStorage({num_vertices, rm.cols}, std::move(out));
+  Storage out = ScaleScatter(*dst, rm.cols, alpha.data().data(), [&](int64_t e) {
+    int64_t s = src[static_cast<size_t>(e)];
+    SARN_CHECK(s >= 0 && s < rm.rows) << "edge " << e << " source " << s;
+    return rm.row(wx.data(), s);
+  });
+  return Tensor::FromStorage({dst->num_rows, rm.cols}, std::move(out));
 }
 
 }  // namespace sarn::tensor

@@ -9,16 +9,45 @@
 //
 // Graph-specific ops (EdgeSoftmax, ScatterAddRows) implement the sparse
 // attention aggregation GAT needs without materialising n x n matrices.
+//
+// Every op below runs on the kernel pool (common/parallel.h) and yields the
+// same bits at any thread count (DESIGN.md §7): ops whose output elements
+// each come from one input position split by rows or elements, and ops that
+// accumulate several inputs into one target row run over an IndexGroups
+// grouping, so each thread owns whole target rows and adds their
+// contributions in ascending input order, the order of a serial loop.
 
 #ifndef SARN_TENSOR_OPS_H_
 #define SARN_TENSOR_OPS_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "tensor/tensor.h"
 
 namespace sarn::tensor {
+
+// --- Index groupings -----------------------------------------------------------
+/// Positions of an index vector grouped by value (CSR): the positions e with
+/// index[e] == v are order[offsets[v]] .. order[offsets[v + 1] - 1], in
+/// ascending e. The scatter ops partition their target rows over the pool
+/// with it. Immutable once built and shared by the backward closures, so a
+/// graph view grouped once (nn::EdgeList caches it) serves every op call.
+struct IndexGroups {
+  int64_t num_rows = 0;
+  IndexVec index;    // The grouped index vector itself.
+  IndexVec offsets;  // num_rows + 1 entries.
+  IndexVec order;    // index.size() entries.
+
+  size_t size() const { return index.size(); }
+};
+using IndexGroupsPtr = std::shared_ptr<const IndexGroups>;
+
+/// Groups `index` by value with a stable counting sort. Every entry must lie
+/// in [0, num_rows): a bad entry is a SARN_CHECK failure here, before any op
+/// writes through it.
+IndexGroupsPtr GroupByIndex(const std::vector<int64_t>& index, int64_t num_rows);
 
 // --- Elementwise binary (with limited broadcasting) -------------------------
 Tensor Add(const Tensor& a, const Tensor& b);
@@ -76,6 +105,9 @@ Tensor ScaleRows(const Tensor& a, const Tensor& scale);
 /// Gathers rows: out[r] = a[indices[r]]; backward scatter-adds. This is also
 /// the embedding-lookup primitive.
 Tensor Rows(const Tensor& a, const std::vector<int64_t>& indices);
+/// Rows over a prebuilt grouping (num_rows must equal a's row count). Named
+/// apart from Rows so that `Rows(a, {})` stays unambiguous.
+Tensor GroupedRows(const Tensor& a, const IndexGroupsPtr& indices);
 /// out[r] = a[r, cols[r]] -> [m]; the cross-entropy gather.
 Tensor TakePerRow(const Tensor& a, const std::vector<int64_t>& cols);
 /// Contiguous column slice of a [m, n] tensor: out = a[:, col : col + count].
@@ -96,10 +128,12 @@ Tensor Dropout(const Tensor& a, float p, Rng& rng);
 /// `scores` is [E] (or [E,1]); `dst[e]` in [0, num_vertices).
 Tensor EdgeSoftmax(const Tensor& scores, const std::vector<int64_t>& dst,
                    int64_t num_vertices);
+Tensor EdgeSoftmax(const Tensor& scores, const IndexGroupsPtr& dst);
 /// Sums per-edge message rows into destination vertices:
 /// out[v] = sum_{e: dst[e]=v} messages[e]; messages [E, d] -> out [num_vertices, d].
 Tensor ScatterAddRows(const Tensor& messages, const std::vector<int64_t>& dst,
                       int64_t num_vertices);
+Tensor ScatterAddRows(const Tensor& messages, const IndexGroupsPtr& dst);
 
 // --- Fused inference-only ops (grad mode must be off) ---------------------------
 // Bitwise-identical fusions of the op chains GAT inference runs per layer;
@@ -117,6 +151,8 @@ Tensor FusedEdgeScores(const Tensor& score_src, const Tensor& score_dst,
 Tensor FusedGatherScaleScatter(const Tensor& wx, const std::vector<int64_t>& src,
                                const std::vector<int64_t>& dst, const Tensor& alpha,
                                int64_t num_vertices);
+Tensor FusedGatherScaleScatter(const Tensor& wx, const std::vector<int64_t>& src,
+                               const IndexGroupsPtr& dst, const Tensor& alpha);
 
 // --- Fused differentiable ops (grad-path fusion) --------------------------------
 // Grad-mode counterparts of the inference fusions above: each collapses an
@@ -136,6 +172,10 @@ Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
                               const std::vector<int64_t>& src,
                               const std::vector<int64_t>& dst,
                               float negative_slope = 0.2f);
+/// Over prebuilt groupings: `src` groups score_src's rows, `dst` score_dst's.
+Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
+                              const IndexGroupsPtr& src, const IndexGroupsPtr& dst,
+                              float negative_slope = 0.2f);
 
 /// Differentiable ScaleRows+ScatterAddRows: out[dst[e]] += rows[e] * scale[e]
 /// -> [num_vertices, d], one tape node replacing the messages [E, d]
@@ -144,6 +184,8 @@ Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
 /// the unfused order).
 Tensor ScaleScatterRows(const Tensor& rows, const Tensor& scale,
                         const std::vector<int64_t>& dst, int64_t num_vertices);
+Tensor ScaleScatterRows(const Tensor& rows, const Tensor& scale,
+                        const IndexGroupsPtr& dst);
 
 }  // namespace sarn::tensor
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/parallel.h"
 #include "obs/metrics.h"
 
 namespace sarn::tensor {
@@ -250,8 +251,24 @@ void Storage::assign(size_t n, float value) {
   Fill(value);
 }
 
+namespace {
+
+// Floats per pool chunk of a fill: 256 KiB, so only the gradient buffers of
+// edge- and vertex-sized activations leave the calling thread.
+constexpr size_t kFillGrain = 1 << 16;
+
+}  // namespace
+
 void Storage::Fill(float value) {
-  std::fill(ptr_, ptr_ + size_, value);
+  float* p = ptr_;
+  if (size_ < kFillGrain) {
+    std::fill(p, p + size_, value);
+    return;
+  }
+  // Every element is written once, so the split cannot change the result.
+  ParallelFor(
+      size_, [p, value](size_t begin, size_t end) { std::fill(p + begin, p + end, value); },
+      kFillGrain);
 }
 
 void Storage::Resize(size_t n) {

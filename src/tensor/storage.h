@@ -223,6 +223,7 @@ class Storage {
   /// analogue EnsureGrad/ZeroGrad rely on).
   void assign(size_t n, float value);
 
+  /// Large fills (at least 64 Ki floats) are split over the kernel pool.
   void Fill(float value);
 
   /// Resizes in place when the held block's class can hold n (contents are

@@ -439,6 +439,22 @@ TEST(EdgeListTest, WithSelfLoopsAppendsAndCaches) {
   EXPECT_EQ(edges.WithSelfLoops(4).size(), 7u);
 }
 
+TEST(EdgeListTest, GroupingsAreCachedAndRebuiltOnChange) {
+  EdgeList edges;
+  edges.Add(0, 1);
+  edges.Add(2, 1);
+  const tensor::IndexGroups* dst = edges.DstGroups(3).get();
+  ASSERT_EQ(dst->offsets, (tensor::IndexVec{0, 0, 2, 2}));
+  EXPECT_EQ(dst->order, (tensor::IndexVec{0, 1}));
+  EXPECT_EQ(edges.SrcGroups(3)->order, (tensor::IndexVec{0, 1}));
+  // Cached: same grouping on repeat, rebuilt after a mutation or new n.
+  EXPECT_EQ(edges.DstGroups(3).get(), dst);
+  EXPECT_EQ(edges.DstGroups(4)->num_rows, 4);
+  edges.Add(1, 0);
+  EXPECT_EQ(edges.DstGroups(4)->order, (tensor::IndexVec{2, 0, 1}));
+  EXPECT_EQ(edges.SrcGroups(4)->order, (tensor::IndexVec{0, 2, 1}));
+}
+
 TEST(GatEncoderTest, StackShapes) {
   Rng rng(7);
   GatEncoder encoder(10, 16, 8, /*num_layers=*/3, /*num_heads=*/4, rng);

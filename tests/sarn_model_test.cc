@@ -157,6 +157,34 @@ TEST_F(SarnModelTest, DeterministicGivenSeed) {
   }
 }
 
+// The kernel pool partitions every op so that the thread count cannot
+// change a bit (DESIGN.md §7). The golden 10x10 city is too small to reach
+// most grains, so this runs the default composition and model size on a city
+// of over 1,000 segments, where the edge, scatter and elementwise ops all
+// split across threads.
+TEST(SarnModelThreadsTest, DefaultCompositionTrainsIdenticallyAtOneAndFourThreads) {
+  roadnet::RoadNetwork network =
+      roadnet::GenerateSyntheticCity(roadnet::SyntheticCityConfig{});
+  ASSERT_GE(network.num_segments(), 1000);
+  SarnConfig config;
+  config.max_epochs = 1;
+  size_t original = GetParallelThreads();
+  auto train = [&](size_t threads) {
+    SetParallelThreads(threads);
+    SarnModel model(network, config);
+    TrainStats stats = model.Train();
+    Tensor embeddings = model.Embeddings();
+    return std::make_pair(stats, embeddings);
+  };
+  auto [serial_stats, serial_embeddings] = train(1);
+  auto [parallel_stats, parallel_embeddings] = train(4);
+  SetParallelThreads(original);
+  ASSERT_EQ(serial_stats.epochs_run, 1);
+  ASSERT_EQ(parallel_stats.epoch_losses, serial_stats.epoch_losses);
+  ASSERT_EQ(parallel_stats.final_loss, serial_stats.final_loss);
+  ASSERT_EQ(parallel_embeddings.data(), serial_embeddings.data());
+}
+
 TEST_F(SarnModelTest, FineTuneParametersAreFinalLayerOnly) {
   SarnModel model(*network_, SmallConfig());
   EXPECT_LT(model.FineTuneParameters().size(), model.OnlineParameters().size());

@@ -7,7 +7,20 @@ function(run_step)
     message(FATAL_ERROR "step failed (${code}): ${ARGV}\n${out}\n${err}")
   endif()
 endfunction()
+# Runs a command that must fail with the given exit status: 2 for a usage
+# error, 1 for a runtime failure.
+function(expect_exit expected)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
+  if(NOT code EQUAL expected)
+    message(FATAL_ERROR "expected exit ${expected}, got ${code}: ${ARGN}")
+  endif()
+endfunction()
 file(REMOVE ${WORK_DIR}/metrics.jsonl ${WORK_DIR}/trace.json)
+expect_exit(2 ${SARN_CLI} no-such-command)
+expect_exit(2 ${SARN_CLI} train --bogus 1)
+expect_exit(2 ${SARN_CLI} train)
+expect_exit(2 ${SARN_CLI} train --network ${WORK_DIR}/net.csv --log-level loud)
+expect_exit(1 ${SARN_CLI} train --network ${WORK_DIR}/missing.csv)
 run_step(${SARN_CLI} generate --city SF --scale 0.015 --out ${WORK_DIR}/net.csv)
 run_step(${SARN_CLI} train --network ${WORK_DIR}/net.csv --epochs 2 --dim 16
          --weights ${WORK_DIR}/model.ckpt --embeddings ${WORK_DIR}/emb.csv

@@ -70,9 +70,17 @@
 namespace sarn::cli {
 namespace {
 
+// Exit statuses: 1 for a runtime failure (an input that cannot be read, an
+// output that cannot be written), 2 for a usage error (an unknown flag, a
+// missing required flag or a bad flag value), as Usage() returns.
 int Fail(const std::string& message) {
   std::fprintf(stderr, "sarn: %s\n", message.c_str());
   return 1;
+}
+
+int UsageError(const std::string& message) {
+  std::fprintf(stderr, "sarn: %s\n", message.c_str());
+  return 2;
 }
 
 bool EndsWith(const std::string& text, const std::string& suffix) {
@@ -309,7 +317,7 @@ int CmdTrain(const TrainArgs& args) {
   config.hidden_dim = dim;
   config.projection_dim = std::max<int64_t>(8, dim / 2);
   config.seed = static_cast<uint64_t>(args.seed);
-  if (auto error = args.variant.Apply(config)) return Fail("train: " + *error);
+  if (auto error = args.variant.Apply(config)) return UsageError("train: " + *error);
   core::FitCellSideToNetwork(config, *network);
 
   core::TrainOptions options = args.options;
@@ -549,10 +557,10 @@ int CmdSnapshotSave(const SnapshotSaveArgs& args) {
   const std::string& out = args.out;
   auto metric = ParseMetric(args.metric);
   if (!metric.has_value()) {
-    return Fail("snapshot save: --metric must be cosine or l1");
+    return UsageError("snapshot save: --metric must be cosine or l1");
   }
   if (args.embeddings.empty() == args.checkpoint.empty()) {
-    return Fail("snapshot save: pass exactly one of --embeddings or --checkpoint");
+    return UsageError("snapshot save: pass exactly one of --embeddings or --checkpoint");
   }
 
   std::optional<roadnet::RoadNetwork> network;
@@ -572,8 +580,8 @@ int CmdSnapshotSave(const SnapshotSaveArgs& args) {
     source.path = args.embeddings;
   } else {
     if (!network.has_value()) {
-      return Fail("snapshot save: --checkpoint needs --network (the graph the "
-                  "encoder runs on)");
+      return UsageError("snapshot save: --checkpoint needs --network (the graph the "
+                        "encoder runs on)");
     }
     source.kind = core::ModelLoadSource::Kind::kTrainingCheckpoint;
     source.path = args.checkpoint;
@@ -582,7 +590,7 @@ int CmdSnapshotSave(const SnapshotSaveArgs& args) {
     source.config.hidden_dim = args.dim;
     source.config.projection_dim = std::max<int64_t>(8, args.dim / 2);
     if (auto error = args.variant.Apply(source.config)) {
-      return Fail("snapshot save: " + *error);
+      return UsageError("snapshot save: " + *error);
     }
     core::FitCellSideToNetwork(source.config, *network);
   }
@@ -601,7 +609,7 @@ int CmdSnapshotSave(const SnapshotSaveArgs& args) {
   const bool want_float = precision == "both" || precision == "float32";
   const bool want_int8 = precision == "both" || precision == "int8";
   if (!want_float && !want_int8) {
-    return Fail("snapshot save: --precision must be float32, int8 or both");
+    return UsageError("snapshot save: --precision must be float32, int8 or both");
   }
   std::optional<tasks::EmbeddingIndex> float_index;
   std::optional<tasks::EmbeddingIndex> int8_index;
@@ -807,12 +815,12 @@ int CmdServe(const ServeArgs& args) {
   const std::string& embeddings_path = args.embeddings;
   const std::string& snapshot_path = args.snapshot;
   if (embeddings_path.empty() == snapshot_path.empty()) {
-    return Fail("serve: pass exactly one of --embeddings or --snapshot");
+    return UsageError("serve: pass exactly one of --embeddings or --snapshot");
   }
   const std::string& metric_name = args.metric;
   auto parsed_metric = ParseMetric(metric_name);
   if (!parsed_metric.has_value()) {
-    return Fail("serve: --metric must be cosine or l1");
+    return UsageError("serve: --metric must be cosine or l1");
   }
   const tasks::IndexMetric metric = *parsed_metric;
   const tasks::IndexPrecision precision = args.quantized
@@ -866,10 +874,10 @@ int CmdServe(const ServeArgs& args) {
 
   serve::ServeOptions options = args.options;
   if (options.threads < 0 || options.max_batch <= 0) {
-    return Fail("serve: --threads must be >= 0 and --batch-size >= 1");
+    return UsageError("serve: --threads must be >= 0 and --batch-size >= 1");
   }
   if (args.trace_sample < 0) {
-    return Fail("serve: --trace-sample must be >= 0 (0 disables tracing)");
+    return UsageError("serve: --trace-sample must be >= 0 (0 disables tracing)");
   }
   options.trace_sample_every = static_cast<uint32_t>(args.trace_sample);
   const int default_k = static_cast<int>(args.k);
@@ -887,7 +895,7 @@ int CmdServe(const ServeArgs& args) {
     slo.budget_p99_ms = args.slo_p99_ms;
     slo.window_seconds = args.slo_window_s;
     if (slo.window_seconds <= 0.0) {
-      return Fail("serve: --slo-window-s must be > 0");
+      return UsageError("serve: --slo-window-s must be > 0");
     }
     slo.tick_seconds = std::min(1.0, slo.window_seconds / 4.0);
     watchdog = std::make_unique<obs::SloWatchdog>(slo, metrics_sink.get());
@@ -895,7 +903,7 @@ int CmdServe(const ServeArgs& args) {
   std::unique_ptr<PeriodicPromWriter> prom_writer;
   if (!args.prom_file.empty()) {
     if (args.prom_interval_ms <= 0.0) {
-      return Fail("serve: --prom-interval-ms must be > 0");
+      return UsageError("serve: --prom-interval-ms must be > 0");
     }
     prom_writer =
         std::make_unique<PeriodicPromWriter>(args.prom_file, args.prom_interval_ms);
@@ -1175,7 +1183,7 @@ int Main(int argc, char** argv) {
     command.declare(flags);
     flags.String("log-level", "", "debug, info, warning or error");
     std::string error;
-    if (!flags.Parse(argc, argv, first_flag, &error)) return Fail(error);
+    if (!flags.Parse(argc, argv, first_flag, &error)) return UsageError(error);
     if (flags.help_requested()) {
       std::fputs(flags.Usage().c_str(), stdout);
       return 0;
@@ -1183,7 +1191,7 @@ int Main(int argc, char** argv) {
     std::string log_level = flags.GetString("log-level");
     if (!log_level.empty()) {
       std::optional<LogLevel> level = ParseLogLevel(log_level);
-      if (!level.has_value()) return Fail("unknown --log-level " + log_level);
+      if (!level.has_value()) return UsageError("unknown --log-level " + log_level);
       SetLogLevel(*level);
     }
     return command.run(flags);
