@@ -1,9 +1,12 @@
 // Reproduces Figure 5: ablation study on the SF-like network across all
-// three downstream tasks, with the paper's four variants:
-//   SARN-w/o-MNL  — no spatial matrix, no spatial negatives/two-level loss
-//                   (the plain weighted-GCL baseline of §3),
-//   SARN-w/o-NL   — spatial matrix only,
-//   SARN-w/o-M    — spatial negatives + two-level loss only,
+// three downstream tasks, with the paper's four variants, each a plain
+// SarnConfig setting over the bench defaults:
+//   SARN-w/o-MNL  — no spatial matrix (max_spatial_neighbors = 0) and plain
+//                   InfoNCE (negatives = "random"): the weighted-GCL
+//                   baseline of §3,
+//   SARN-w/o-NL   — spatial matrix only (negatives = "random"),
+//   SARN-w/o-M    — spatial negatives + two-level loss only
+//                   (max_spatial_neighbors = 0),
 //   SARN          — everything.
 
 #include <cstdio>
@@ -18,18 +21,18 @@ namespace {
 
 struct VariantSpec {
   std::string name;
-  bool use_matrix;
-  bool use_negatives;
+  bool spatial_matrix;    // false: max_spatial_neighbors = 0.
+  const char* negatives;  // "random": plain InfoNCE.
 };
 
 void Run() {
   BenchEnv env = GetEnv();
   PrintTitle("Figure 5: Ablation Study on SF (scale=" + Num(env.scale, 3) + ")");
   const std::vector<VariantSpec> variants = {
-      {"SARN-w/o-MNL", false, false},
-      {"SARN-w/o-NL", true, false},
-      {"SARN-w/o-M", false, true},
-      {"SARN", true, true},
+      {"SARN-w/o-MNL", false, "random"},
+      {"SARN-w/o-NL", true, "random"},
+      {"SARN-w/o-M", false, "spatial"},
+      {"SARN", true, "spatial"},
   };
 
   roadnet::RoadNetwork network = BuildCity("SF", env);
@@ -55,8 +58,8 @@ void Run() {
 
     for (const VariantSpec& variant : variants) {
       core::SarnConfig config = BenchSarnConfig(env, rep, network);
-      config.use_spatial_matrix = variant.use_matrix;
-      config.use_spatial_negatives = variant.use_negatives;
+      if (!variant.spatial_matrix) config.max_spatial_neighbors = 0;
+      config.negatives = variant.negatives;
       auto model = TrainSarn(network, config);
       tasks::FrozenEmbeddingSource source(model->Embeddings());
       Cells& cells = results[variant.name];

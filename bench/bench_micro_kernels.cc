@@ -278,6 +278,7 @@ void BM_GatForwardPerHeadReference(benchmark::State& state) {
       dst.push_back(v);
     }
     int64_t e_count = static_cast<int64_t>(src.size());
+    tensor::IndexGroupsPtr dst_groups = tensor::GroupByIndex(dst, n);
     std::vector<tensor::Tensor> heads;
     for (int h = 0; h < num_heads; ++h) {
       tensor::Tensor wx = tensor::MatMul(x, weight[h]);
@@ -286,9 +287,9 @@ void BM_GatForwardPerHeadReference(benchmark::State& state) {
       tensor::Tensor scores = tensor::LeakyRelu(
           tensor::Add(tensor::Rows(score_dst, dst), tensor::Rows(score_src, src)), 0.2f);
       tensor::Tensor alpha =
-          tensor::EdgeSoftmax(tensor::Reshape(scores, {e_count}), dst, n);
+          tensor::EdgeSoftmax(tensor::Reshape(scores, {e_count}), dst_groups);
       tensor::Tensor messages = tensor::ScaleRows(tensor::Rows(wx, src), alpha);
-      heads.push_back(tensor::ScatterAddRows(messages, dst, n));
+      heads.push_back(tensor::ScatterAddRows(messages, dst_groups));
     }
     benchmark::DoNotOptimize(tensor::Elu(tensor::Concat(heads, 1)));
   }
@@ -584,12 +585,13 @@ void BM_EdgeSoftmaxScatter(benchmark::State& state) {
   int64_t e_count = static_cast<int64_t>(dst.size());
   tensor::Tensor scores = tensor::Tensor::Randn({e_count}, rng);
   tensor::Tensor messages = tensor::Tensor::Randn({e_count, 32}, rng);
+  // Grouped once, as nn::EdgeList caches it for the encoders.
+  tensor::IndexGroupsPtr dst_groups = tensor::GroupByIndex(dst, network.num_segments());
   tensor::NoGradGuard guard;
   for (auto _ : state) {
-    tensor::Tensor alpha = tensor::EdgeSoftmax(scores, dst, network.num_segments());
+    tensor::Tensor alpha = tensor::EdgeSoftmax(scores, dst_groups);
     benchmark::DoNotOptimize(
-        tensor::ScatterAddRows(tensor::ScaleRows(messages, alpha), dst,
-                               network.num_segments()));
+        tensor::ScatterAddRows(tensor::ScaleRows(messages, alpha), dst_groups));
   }
   state.SetItemsProcessed(state.iterations() * e_count);
 }

@@ -41,8 +41,8 @@ GcaResult TrainGca(const roadnet::RoadNetwork& network, const GcaConfig& config)
   model_config.patience = config.max_epochs;  // GCA has no early stopping.
   model_config.batch_size = config.batch_size;
   model_config.learning_rate = config.learning_rate;
-  model_config.momentum = 0.0f;           // Parameter-shared encoders.
-  model_config.use_spatial_matrix = false;  // Topological edges only.
+  model_config.momentum = 0.0f;            // Parameter-shared encoders.
+  model_config.max_spatial_neighbors = 0;  // Topological edges only.
   model_config.encoder = "gat";
   model_config.augmentation = "adaptive-drop";
   model_config.negatives = "all-vertex";

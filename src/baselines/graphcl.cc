@@ -30,8 +30,8 @@ GraphClResult TrainGraphCl(const roadnet::RoadNetwork& network,
   model_config.patience = config.max_epochs;  // GraphCL has no early stopping.
   model_config.batch_size = config.batch_size;
   model_config.learning_rate = config.learning_rate;
-  model_config.momentum = 0.0f;           // Parameter-shared encoders.
-  model_config.use_spatial_matrix = false;  // Topological edges only.
+  model_config.momentum = 0.0f;            // Parameter-shared encoders.
+  model_config.max_spatial_neighbors = 0;  // Topological edges only.
   model_config.encoder = "gat";
   model_config.augmentation = "uniform-drop";
   model_config.negatives = "in-batch";

@@ -14,7 +14,7 @@ HrnrLite::HrnrLite(const roadnet::RoadNetwork& network, HrnrLiteConfig config)
     : network_(&network), config_(config) {
   int64_t n = network.num_segments();
   geo::Grid grid(network.bounding_box(), config.zone_cell_meters);
-  num_zones_ = grid.num_cells();
+  const int64_t num_zones = grid.num_cells();
 
   // Hierarchy memory estimate: HRNR keeps several n x n and n x C adjacency
   // and assignment matrices; model the dominant dense n x n term.
@@ -29,17 +29,18 @@ HrnrLite::HrnrLite(const roadnet::RoadNetwork& network, HrnrLiteConfig config)
 
   features_ = roadnet::FeaturizeSegments(network);
   zone_of_.reserve(static_cast<size_t>(n));
-  std::vector<float> counts(static_cast<size_t>(num_zones_), 0.0f);
+  std::vector<float> counts(static_cast<size_t>(num_zones), 0.0f);
   for (const roadnet::RoadSegment& s : network.segments()) {
     int zone = grid.CellOf(s.Midpoint());
     zone_of_.push_back(zone);
     counts[static_cast<size_t>(zone)] += 1.0f;
   }
-  std::vector<float> inverse(static_cast<size_t>(num_zones_), 0.0f);
+  std::vector<float> inverse(static_cast<size_t>(num_zones), 0.0f);
   for (size_t z = 0; z < counts.size(); ++z) {
     if (counts[z] > 0) inverse[z] = 1.0f / counts[z];
   }
-  zone_count_inverse_ = Tensor::FromVector({num_zones_}, std::move(inverse));
+  zone_count_inverse_ = Tensor::FromVector({num_zones}, std::move(inverse));
+  zone_groups_ = tensor::GroupByIndex(zone_of_, num_zones);
 
   for (const roadnet::TopoEdge& e : network.topo_edges()) {
     segment_edges_.Add(e.from, e.to);
@@ -80,7 +81,7 @@ Tensor HrnrLite::Forward() const {
   Tensor x = feature_embedding_->Forward(features_.ids);
   Tensor h_seg = segment_gat_->Forward(x, segment_edges_);  // [n, hidden]
   // Pool to zones (mean), run the zone-level GAT.
-  Tensor zone_sum = tensor::ScatterAddRows(h_seg, zone_of_, num_zones_);
+  Tensor zone_sum = tensor::ScatterAddRows(h_seg, zone_groups_);
   Tensor h_zone_in = tensor::ScaleRows(zone_sum, zone_count_inverse_);
   Tensor h_zone = zone_gat_->Forward(h_zone_in, zone_edges_);  // [C, hidden]
   // Broadcast zone context back and fuse.

@@ -22,6 +22,7 @@
 #include "nn/module.h"
 #include "roadnet/features.h"
 #include "roadnet/road_network.h"
+#include "tensor/ops.h"
 #include "tensor/tensor.h"
 
 namespace sarn::baselines {
@@ -61,7 +62,7 @@ class HrnrLite : public nn::Module {
   bool out_of_memory_ = false;
   roadnet::SegmentFeatures features_;
   std::vector<int64_t> zone_of_;
-  int64_t num_zones_ = 0;
+  tensor::IndexGroupsPtr zone_groups_;  // zone_of_ grouped by zone.
   tensor::Tensor zone_count_inverse_;  // [num_zones] 1/|zone| (0 if empty).
   nn::EdgeList segment_edges_;
   nn::EdgeList zone_edges_;

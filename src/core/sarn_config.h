@@ -36,7 +36,8 @@ struct SarnConfig {
   double delta_ds_meters = 200.0;
   double delta_as_radians = geo::kPi / 8.0;
   /// Cap on spatial neighbours kept per segment (highest A^s first); keeps
-  /// |A^s| on par with |A^t| as in the paper's Table 3.
+  /// |A^s| on par with |A^t| as in the paper's Table 3. 0 builds no spatial
+  /// edges at all: the SARN-w/o-M ablation (paper §5.4).
   int max_spatial_neighbors = 4;
 
   // --- Spatial importance-based augmentation (Eqs. 6-7) -------------------------
@@ -64,23 +65,15 @@ struct SarnConfig {
   float learning_rate = 0.005f;
   int batch_size = 128;
 
-  // --- Ablation switches (paper §5.4) ---------------------------------------------
-  /// M: the spatial similarity matrix / spatial edges. Off in SARN-w/o-MNL
-  /// and SARN-w/o-M.
-  bool use_spatial_matrix = true;
-  /// N+L: grid-based negative sampling with the two-level loss. Off in
-  /// SARN-w/o-MNL and SARN-w/o-NL (plain InfoNCE with random negatives).
-  bool use_spatial_negatives = true;
-  /// Negatives per anchor when use_spatial_negatives is off.
+  /// Negatives per anchor of the "random" sampler (plain InfoNCE).
   int random_negatives = 64;
 
   // --- Variant plane (DESIGN.md §16) ----------------------------------------------
-  /// Registry names of the pluggable pieces. Empty string = the default.
-  /// Encoders: "gat" (paper), "rfn". Augmentations: "spatial-importance"
-  /// (paper), "third-law", "uniform-drop", "adaptive-drop". Negatives:
-  /// "spatial" (paper), "random", "in-batch", "all-vertex". The legacy
-  /// ablation switch `use_spatial_negatives = false` resolves "spatial" to
-  /// "random" (SARN-w/o-NL) so pre-plane configs keep their meaning.
+  /// Registry names of the pluggable pieces, used verbatim as the model's
+  /// variant tag. Encoders: "gat" (paper), "rfn". Augmentations:
+  /// "spatial-importance" (paper), "third-law", "uniform-drop",
+  /// "adaptive-drop". Negatives: "spatial" (paper: grid negatives with the
+  /// two-level loss), "random" (SARN-w/o-NL), "in-batch", "all-vertex".
   std::string encoder = "gat";
   std::string augmentation = "spatial-importance";
   std::string negatives = "spatial";

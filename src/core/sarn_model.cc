@@ -42,10 +42,11 @@ std::string JoinNames(const std::vector<std::string>& names) {
 SarnModel::SarnModel(const roadnet::RoadNetwork& network, SarnConfig config)
     : network_(&network), config_(std::move(config)) {
   SARN_CHECK_GT(network.num_segments(), 1);
-  variant_tag_ = ResolvedVariantTag(config_);
+  variant_tag_ = {config_.encoder, config_.augmentation, config_.negatives};
   features_ = roadnet::FeaturizeSegments(network);
 
-  if (config_.use_spatial_matrix) {
+  // A cap of 0 keeps no candidate (SARN-w/o-M), so skip the search.
+  if (config_.max_spatial_neighbors > 0) {
     SpatialSimilarityConfig similarity_config;
     similarity_config.delta_ds_meters = config_.delta_ds_meters;
     similarity_config.delta_as_radians = config_.delta_as_radians;
@@ -138,15 +139,15 @@ std::vector<Tensor> SarnModel::FineTuneParameters() const {
   return online_encoder_->FinalLayerParameters();
 }
 
-bool SarnModel::SaveWeights(const std::string& path) const {
-  return nn::SaveParameters(path, OnlineParameters());
-}
-
-bool SarnModel::LoadWeights(const std::string& path) {
-  if (!nn::LoadParameters(path, OnlineParameters())) return false;
-  target_encoder_->CopyWeightsFrom(*online_encoder_);
-  target_head_->CopyWeightsFrom(*online_head_);
-  return true;
+nn::CheckpointStatus SarnModel::SaveWeights(const std::string& path) const {
+  nn::TrainingCheckpoint ckpt;
+  ByteWriter variant;
+  WriteVariantTag(variant, variant_tag_);
+  ckpt.SetSection(kSectionVariant, variant.Take());
+  ByteWriter online;
+  nn::WriteTensors(online, OnlineParameters());
+  ckpt.SetSection(kSectionOnline, online.Take());
+  return nn::SaveCheckpoint(path, ckpt);
 }
 
 ModelLoadStatus SarnModel::LoadFromTrainingCheckpoint(const std::string& path) {
@@ -208,19 +209,11 @@ const char* ModelLoadErrorName(ModelLoadError error) {
     case ModelLoadError::kParseError: return "parse_error";
     case ModelLoadError::kArchitectureMismatch: return "architecture_mismatch";
     case ModelLoadError::kVariantMismatch: return "variant_mismatch";
-    case ModelLoadError::kUnsupportedFormat: return "unsupported_format";
   }
   return "unknown";
 }
 
 namespace {
-
-SarnModel::SnapshotLoader g_snapshot_loader = nullptr;
-
-bool PathEndsWith(const std::string& path, const std::string& suffix) {
-  return path.size() >= suffix.size() &&
-         path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
 
 ModelLoadResult LoadFail(ModelLoadError error, std::string message) {
   ModelLoadResult result;
@@ -285,36 +278,11 @@ ModelLoadResult LoadCheckpointSource(const ModelLoadSource& source) {
 
 }  // namespace
 
-void SarnModel::SetSnapshotLoader(SnapshotLoader loader) {
-  g_snapshot_loader = loader;
-}
-
 ModelLoadResult SarnModel::Load(const ModelLoadSource& source) {
-  ModelLoadSource::Kind kind = source.kind;
-  if (kind == ModelLoadSource::Kind::kAuto) {
-    if (PathEndsWith(source.path, ".sarnsnap")) {
-      kind = ModelLoadSource::Kind::kSnapshot;
-    } else if (PathEndsWith(source.path, ".sarnckpt")) {
-      kind = ModelLoadSource::Kind::kTrainingCheckpoint;
-    } else {
-      kind = ModelLoadSource::Kind::kEmbeddingsCsv;
-    }
+  if (source.kind == ModelLoadSource::Kind::kEmbeddingsCsv) {
+    return LoadEmbeddingsCsvSource(source.path);
   }
-  switch (kind) {
-    case ModelLoadSource::Kind::kEmbeddingsCsv:
-      return LoadEmbeddingsCsvSource(source.path);
-    case ModelLoadSource::Kind::kTrainingCheckpoint:
-      return LoadCheckpointSource(source);
-    case ModelLoadSource::Kind::kSnapshot:
-      if (g_snapshot_loader == nullptr) {
-        return LoadFail(ModelLoadError::kUnsupportedFormat,
-                        "snapshot loading is not linked into this binary");
-      }
-      return g_snapshot_loader(source.path);
-    case ModelLoadSource::Kind::kAuto:
-      break;  // Resolved above.
-  }
-  return LoadFail(ModelLoadError::kUnsupportedFormat, "unknown source kind");
+  return LoadCheckpointSource(source);
 }
 
 }  // namespace sarn::core

@@ -7,12 +7,13 @@
 // augmentation "spatial-importance" + negatives "spatial" (Algorithm 1);
 // every piece is swappable by registry name through SarnConfig.
 //
-// Ablation variants (paper §5.4) are obtained through SarnConfig:
+// The ablation variants (paper §5.4) are plain SarnConfig settings:
 //  * SARN          — defaults.
-//  * SARN-w/o-M    — use_spatial_matrix = false.
-//  * SARN-w/o-NL   — use_spatial_negatives = false (resolves the "spatial"
-//                    negatives to "random": plain InfoNCE).
-//  * SARN-w/o-MNL  — both false (the plain weighted-GCL baseline of §3).
+//  * SARN-w/o-M    — max_spatial_neighbors = 0 (no spatial matrix: A^s is
+//                    empty, so views carry topological edges only).
+//  * SARN-w/o-NL   — negatives = "random" (plain InfoNCE with
+//                    random_negatives uniform negatives per anchor).
+//  * SARN-w/o-MNL  — both (the plain weighted-GCL baseline of §3).
 
 #ifndef SARN_CORE_SARN_MODEL_H_
 #define SARN_CORE_SARN_MODEL_H_
@@ -101,8 +102,6 @@ enum class ModelLoadError {
   kVariantMismatch,       // Checkpoint was written by a different encoder/
                           // augmentation/negatives combo (the message names
                           // both combos).
-  kUnsupportedFormat,     // Unrecognised extension, or the snapshot loader is
-                          // not linked into this binary.
 };
 const char* ModelLoadErrorName(ModelLoadError error);
 
@@ -113,20 +112,19 @@ struct ModelLoadStatus {
   bool ok() const { return error == ModelLoadError::kOk; }
 };
 
-/// One description of "where trained model state lives": an embeddings CSV,
-/// a rolling training checkpoint, or a .sarnsnap serving snapshot.
+/// One description of "where trained model state lives": an embeddings CSV
+/// or a training checkpoint.
 struct ModelLoadSource {
   enum class Kind {
-    kAuto,                // Sniff from the extension (.sarnsnap, .sarnckpt, else CSV).
     kEmbeddingsCsv,       // Headerless n x d CSV of embedding rows.
-    kTrainingCheckpoint,  // Rolling checkpoint written by Train(); restores
-                          // the online branch (needs `network` + `config`).
-    kSnapshot,            // Serving snapshot with an embedded model matrix.
+    kTrainingCheckpoint,  // A checkpoint written by Train() or SaveWeights();
+                          // restores the online branch (needs `network` +
+                          // `config`).
   };
-  Kind kind = Kind::kAuto;
+  Kind kind = Kind::kEmbeddingsCsv;
   std::string path;
-  /// Checkpoint restores rebuild the architecture first; both fields are
-  /// ignored for the other kinds. `network` must outlive the loaded model.
+  /// Checkpoint restores rebuild the architecture first; CSV loads ignore
+  /// both fields. `network` must outlive the loaded model.
   const roadnet::RoadNetwork* network = nullptr;
   SarnConfig config;
 };
@@ -136,8 +134,8 @@ struct ModelLoadResult {
   std::string message;
   /// The [n, d] embedding matrix; defined on success for every kind.
   tensor::Tensor embeddings;
-  /// The restored model; only set for checkpoint loads (the other formats
-  /// carry no encoder weights).
+  /// The restored model; only set for checkpoint loads (a CSV carries no
+  /// encoder weights).
   std::unique_ptr<SarnModel> model;
   bool ok() const { return error == ModelLoadError::kOk; }
 };
@@ -148,17 +146,9 @@ class SarnModel {
   /// registered (checked); unknown names abort with the available set.
   SarnModel(const roadnet::RoadNetwork& network, SarnConfig config);
 
-  /// One factory for every on-disk form of trained state (embeddings CSV,
-  /// training checkpoint, serving snapshot), with a typed error instead of
-  /// the per-format bool/optional mix the call sites used to juggle.
+  /// One factory for both on-disk forms of trained state (embeddings CSV,
+  /// training checkpoint), reporting failures as a typed ModelLoadError.
   static ModelLoadResult Load(const ModelLoadSource& source);
-
-  /// Loader for ModelLoadSource::Kind::kSnapshot. The snapshot reader lives
-  /// above sarn_core in the link graph (sarn_snapshot -> sarn_tasks ->
-  /// sarn_core), so binaries that want snapshot loads install the hook at
-  /// startup (the CLI does); without it Load reports kUnsupportedFormat.
-  using SnapshotLoader = ModelLoadResult (*)(const std::string& path);
-  static void SetSnapshotLoader(SnapshotLoader loader);
 
   /// Runs Algorithm 1 (with cosine-annealed Adam and loss-plateau early
   /// stopping) and leaves the online encoder ready for Embeddings().
@@ -191,8 +181,8 @@ class SarnModel {
   const roadnet::RoadNetwork& network() const { return *network_; }
   int64_t embedding_dim() const { return config_.embedding_dim; }
 
-  /// The resolved registry names this model is composed of (config names
-  /// after legacy-ablation mapping; see ResolvedVariantTag).
+  /// The registry names this model is composed of (the config's encoder,
+  /// augmentation and negatives, verbatim).
   const VariantTag& variant_tag() const { return variant_tag_; }
   const char* encoder_name() const { return variant_tag_.encoder.c_str(); }
   const char* augmentation_name() const { return variant_tag_.augmentation.c_str(); }
@@ -201,15 +191,15 @@ class SarnModel {
   /// All trainable parameters of the online branch (tests/inspection).
   std::vector<tensor::Tensor> OnlineParameters() const;
 
-  /// Checkpointing of the online branch (the target branch is re-synced on
-  /// load). Returns false on I/O or architecture mismatch.
-  bool SaveWeights(const std::string& path) const;
-  bool LoadWeights(const std::string& path);
+  /// Writes the online branch as a training-checkpoint container holding
+  /// only the variant tag and online parameters (CRC-checked, atomically
+  /// renamed) — exactly what LoadFromTrainingCheckpoint reads back.
+  nn::CheckpointStatus SaveWeights(const std::string& path) const;
 
-  /// Serving-export interop: restores just the online branch from a full
-  /// training checkpoint (the rolling file Train() writes), so
-  /// `sarn snapshot save --checkpoint` can serialise Embeddings() without a
-  /// separate weights file. Optimizer/RNG/queue sections are ignored. The
+  /// Restores just the online branch (the target branch is re-synced) from
+  /// a SaveWeights() file or a rolling checkpoint Train() writes; the
+  /// latter's optimizer/RNG/queue sections are ignored. This is how
+  /// `sarn snapshot save --checkpoint` serialises Embeddings(). The
   /// checkpoint's variant tag must match this model's composition
   /// (kVariantMismatch names both combos otherwise); a corrupt file or
   /// architecture mismatch also fails, and the model is left untouched.

@@ -132,16 +132,4 @@ std::vector<std::string> VariantRegistry::SamplerNames() const {
   return SortedKeys(samplers_);
 }
 
-VariantTag ResolvedVariantTag(const SarnConfig& config) {
-  VariantTag tag;
-  tag.encoder = config.encoder.empty() ? "gat" : config.encoder;
-  tag.augmentation =
-      config.augmentation.empty() ? "spatial-importance" : config.augmentation;
-  tag.negatives = config.negatives.empty() ? "spatial" : config.negatives;
-  if (!config.use_spatial_negatives && tag.negatives == "spatial") {
-    tag.negatives = "random";
-  }
-  return tag;
-}
-
 }  // namespace sarn::core

@@ -20,7 +20,6 @@
 
 #include "common/rng.h"
 #include "core/augmentation.h"
-#include "core/checkpoint_tags.h"
 #include "core/encoder.h"
 #include "core/negative_sampler.h"
 #include "core/sarn_config.h"
@@ -83,12 +82,6 @@ class VariantRegistry {
   std::map<std::string, AugmentationFactory> augmentations_;
   std::map<std::string, SamplerFactory> samplers_;
 };
-
-/// Resolves a config's variant names to the registry names a model built
-/// from it will use: empty strings fall back to the paper defaults, and the
-/// legacy ablation switch use_spatial_negatives = false maps "spatial"
-/// negatives to "random" (SARN-w/o-NL predates the named plane).
-VariantTag ResolvedVariantTag(const SarnConfig& config);
 
 }  // namespace sarn::core
 

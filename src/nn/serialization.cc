@@ -9,13 +9,8 @@
 #include <sstream>
 #include <string>
 
-#include "common/logging.h"
-
 namespace sarn::nn {
 namespace {
-
-constexpr char kMagic[] = "SARNW1\n";
-constexpr size_t kMagicLen = sizeof(kMagic) - 1;
 
 constexpr char kCheckpointMagic[] = "SARNCK1\n";
 constexpr size_t kCheckpointMagicLen = sizeof(kCheckpointMagic) - 1;
@@ -23,64 +18,6 @@ constexpr char kCheckpointSuffix[] = ".sarnckpt";
 constexpr char kCheckpointPrefix[] = "ckpt_";
 
 }  // namespace
-
-bool SaveParameters(const std::string& path, const std::vector<tensor::Tensor>& params) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out.is_open()) {
-    SARN_LOG(Error) << "cannot open " << path << " for writing";
-    return false;
-  }
-  out.write(kMagic, static_cast<std::streamsize>(kMagicLen));
-  int64_t count = static_cast<int64_t>(params.size());
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const tensor::Tensor& p : params) {
-    int64_t rank = p.rank();
-    out.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
-    for (int64_t d : p.shape()) {
-      out.write(reinterpret_cast<const char*>(&d), sizeof(d));
-    }
-    out.write(reinterpret_cast<const char*>(p.data().data()),
-              static_cast<std::streamsize>(p.data().size() * sizeof(float)));
-  }
-  if (!out.good()) SARN_LOG(Error) << "short write to " << path;
-  return out.good();
-}
-
-bool LoadParameters(const std::string& path, const std::vector<tensor::Tensor>& params) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  char magic[kMagicLen];
-  in.read(magic, static_cast<std::streamsize>(kMagicLen));
-  if (!in.good() || std::memcmp(magic, kMagic, kMagicLen) != 0) {
-    SARN_LOG(Error) << "bad checkpoint magic in " << path;
-    return false;
-  }
-  int64_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in.good() || count != static_cast<int64_t>(params.size())) {
-    SARN_LOG(Error) << "checkpoint has " << count << " tensors, expected "
-                    << params.size();
-    return false;
-  }
-  for (const tensor::Tensor& p : params) {
-    int64_t rank = 0;
-    in.read(reinterpret_cast<char*>(&rank), sizeof(rank));
-    if (!in.good() || rank != p.rank()) return false;
-    for (int64_t expected : p.shape()) {
-      int64_t d = 0;
-      in.read(reinterpret_cast<char*>(&d), sizeof(d));
-      if (!in.good() || d != expected) {
-        SARN_LOG(Error) << "checkpoint shape mismatch in " << path;
-        return false;
-      }
-    }
-    tensor::Storage& data = const_cast<tensor::Tensor&>(p).mutable_data();
-    in.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(float)));
-    if (!in.good()) return false;
-  }
-  return true;
-}
 
 // --- Training checkpoints ----------------------------------------------------
 

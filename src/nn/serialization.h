@@ -1,34 +1,26 @@
-// Checkpointing.
+// Checkpointing: the one on-disk container for trained model state.
 //
-// Two formats live here:
-//
-// 1. Parameter snapshots (SaveParameters/LoadParameters): save/load a
-//    module's parameter list to a compact binary file. The format is
-//    positional — parameters are written in Parameters() order — so a
-//    snapshot can only be restored into the same architecture, which is
-//    validated by shape at load time.
-//    Layout: magic "SARNW1\n", int64 count, then per tensor: int64 rank,
-//    int64 dims..., float32 data (little-endian host order).
-//
-// 2. Training checkpoints (SaveCheckpoint/LoadCheckpoint): a versioned,
-//    CRC-checked container of named binary sections, used by the
-//    crash-safe trainers to capture *all* training state (model + momentum
-//    parameters, optimizer moments, schedule position, RNG streams,
-//    negative queues, trainer progress) so a resumed run continues the
-//    interrupted one bitwise.
-//    Layout:
-//      magic   "SARNCK1\n"                      (8 bytes)
-//      version u32                               (kCheckpointVersion)
-//      size    u64                               (payload byte count)
-//      payload u32 section count, then per section: string name (u64 length
-//              + bytes), string body
-//      crc     u32                               (CRC-32 of the payload)
-//    Writers publish atomically: the file is written to "<path>.tmp" and
-//    renamed over <path>, so a reader never observes a half-written
-//    checkpoint under POSIX rename semantics. Loaders verify magic, version,
-//    declared size and CRC before parsing, and report each failure mode as a
-//    distinct CheckpointError so corrupt files are skipped with a precise
-//    diagnostic instead of crashing or half-loading.
+// Training checkpoints (SaveCheckpoint/LoadCheckpoint) are a versioned,
+// CRC-checked container of named binary sections. The crash-safe trainers
+// use it to capture *all* training state (model + momentum parameters,
+// optimizer moments, schedule position, RNG streams, negative queues,
+// trainer progress) so a resumed run continues the interrupted one bitwise;
+// SarnModel::SaveWeights writes the same container with only the variant
+// tag and online parameters. Tensor lists are positional (WriteTensors /
+// ReadTensorsInto, in Parameters() order) and shape-checked on restore.
+// Layout:
+//   magic   "SARNCK1\n"                      (8 bytes)
+//   version u32                               (kCheckpointVersion)
+//   size    u64                               (payload byte count)
+//   payload u32 section count, then per section: string name (u64 length
+//           + bytes), string body
+//   crc     u32                               (CRC-32 of the payload)
+// Writers publish atomically: the file is written to "<path>.tmp" and
+// renamed over <path>, so a reader never observes a half-written checkpoint
+// under POSIX rename semantics. Loaders verify magic, version, declared size
+// and CRC before parsing, and report each failure mode as a distinct
+// CheckpointError so corrupt files are skipped with a precise diagnostic
+// instead of crashing or half-loading.
 
 #ifndef SARN_NN_SERIALIZATION_H_
 #define SARN_NN_SERIALIZATION_H_
@@ -42,15 +34,6 @@
 #include "tensor/tensor.h"
 
 namespace sarn::nn {
-
-/// Writes the tensors to `path`. Returns false on I/O failure (logged).
-bool SaveParameters(const std::string& path, const std::vector<tensor::Tensor>& params);
-
-/// Restores values into `params` (shapes must match the file exactly).
-/// Returns false on I/O failure, magic/shape mismatch or truncation.
-bool LoadParameters(const std::string& path, const std::vector<tensor::Tensor>& params);
-
-// --- Training checkpoints ----------------------------------------------------
 
 inline constexpr uint32_t kCheckpointVersion = 1;
 

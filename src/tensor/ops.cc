@@ -918,11 +918,6 @@ IndexGroupsPtr GroupByIndex(const std::vector<int64_t>& index, int64_t num_rows)
   return groups;
 }
 
-Tensor EdgeSoftmax(const Tensor& scores, const std::vector<int64_t>& dst,
-                   int64_t num_vertices) {
-  return EdgeSoftmax(scores, GroupByIndex(dst, num_vertices));
-}
-
 Tensor EdgeSoftmax(const Tensor& scores, const IndexGroupsPtr& dst) {
   SARN_CHECK(scores.rank() == 1 || (scores.rank() == 2 && scores.shape()[1] == 1));
   int64_t e_count = scores.numel();
@@ -959,11 +954,6 @@ Tensor EdgeSoftmax(const Tensor& scores, const IndexGroupsPtr& dst) {
       }
     });
   });
-}
-
-Tensor ScatterAddRows(const Tensor& messages, const std::vector<int64_t>& dst,
-                      int64_t num_vertices) {
-  return ScatterAddRows(messages, GroupByIndex(dst, num_vertices));
 }
 
 Tensor ScatterAddRows(const Tensor& messages, const IndexGroupsPtr& dst) {
@@ -1031,14 +1021,6 @@ Tensor FusedEdgeScores(const Tensor& score_src, const Tensor& score_dst,
 }
 
 Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
-                              const std::vector<int64_t>& src,
-                              const std::vector<int64_t>& dst,
-                              float negative_slope) {
-  return FusedEdgeScoreActivate(score_src, score_dst, GroupByIndex(src, score_src.numel()),
-                                GroupByIndex(dst, score_dst.numel()), negative_slope);
-}
-
-Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
                               const IndexGroupsPtr& src, const IndexGroupsPtr& dst,
                               float negative_slope) {
   SARN_CHECK_EQ(src->size(), dst->size());
@@ -1080,11 +1062,6 @@ Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
         if (ssi->requires_grad) scatter(*ssi, *src_groups);
         if (sdi->requires_grad) scatter(*sdi, *dst_groups);
       });
-}
-
-Tensor ScaleScatterRows(const Tensor& rows, const Tensor& scale,
-                        const std::vector<int64_t>& dst, int64_t num_vertices) {
-  return ScaleScatterRows(rows, scale, GroupByIndex(dst, num_vertices));
 }
 
 namespace {
@@ -1154,12 +1131,6 @@ Tensor ScaleScatterRows(const Tensor& rows, const Tensor& scale,
           }
         });
       });
-}
-
-Tensor FusedGatherScaleScatter(const Tensor& wx, const std::vector<int64_t>& src,
-                               const std::vector<int64_t>& dst, const Tensor& alpha,
-                               int64_t num_vertices) {
-  return FusedGatherScaleScatter(wx, src, GroupByIndex(dst, num_vertices), alpha);
 }
 
 Tensor FusedGatherScaleScatter(const Tensor& wx, const std::vector<int64_t>& src,

@@ -123,16 +123,16 @@ Tensor Concat(const std::vector<Tensor>& parts, int axis);
 Tensor Dropout(const Tensor& a, float p, Rng& rng);
 
 // --- Sparse graph ops ------------------------------------------------------------
+// Each takes its destination index already grouped (GroupByIndex): callers
+// group an edge list once and reuse the grouping across ops and calls.
+
 /// Softmax of per-edge scores grouped by destination vertex:
 /// out[e] = exp(s[e] - max_dst) / sum_{e': dst[e']=dst[e]} exp(...).
-/// `scores` is [E] (or [E,1]); `dst[e]` in [0, num_vertices).
-Tensor EdgeSoftmax(const Tensor& scores, const std::vector<int64_t>& dst,
-                   int64_t num_vertices);
+/// `scores` is [E] (or [E,1]); `dst` groups the E edges by vertex.
 Tensor EdgeSoftmax(const Tensor& scores, const IndexGroupsPtr& dst);
 /// Sums per-edge message rows into destination vertices:
-/// out[v] = sum_{e: dst[e]=v} messages[e]; messages [E, d] -> out [num_vertices, d].
-Tensor ScatterAddRows(const Tensor& messages, const std::vector<int64_t>& dst,
-                      int64_t num_vertices);
+/// out[v] = sum_{e: dst[e]=v} messages[e]; messages [E, d] ->
+/// out [dst->num_rows, d].
 Tensor ScatterAddRows(const Tensor& messages, const IndexGroupsPtr& dst);
 
 // --- Fused inference-only ops (grad mode must be off) ---------------------------
@@ -146,11 +146,8 @@ Tensor FusedEdgeScores(const Tensor& score_src, const Tensor& score_dst,
                        const std::vector<int64_t>& src, const std::vector<int64_t>& dst,
                        float negative_slope = 0.2f);
 
-/// out[dst[e]] += wx[src[e]] * alpha[e] -> [num_vertices, d]. Fuses
-/// ScatterAddRows(ScaleRows(Rows(wx, src), alpha), dst, num_vertices).
-Tensor FusedGatherScaleScatter(const Tensor& wx, const std::vector<int64_t>& src,
-                               const std::vector<int64_t>& dst, const Tensor& alpha,
-                               int64_t num_vertices);
+/// out[dst[e]] += wx[src[e]] * alpha[e] -> [dst->num_rows, d]. Fuses
+/// ScatterAddRows(ScaleRows(Rows(wx, src), alpha), dst).
 Tensor FusedGatherScaleScatter(const Tensor& wx, const std::vector<int64_t>& src,
                                const IndexGroupsPtr& dst, const Tensor& alpha);
 
@@ -167,23 +164,16 @@ Tensor FusedGatherScaleScatter(const Tensor& wx, const std::vector<int64_t>& src
 /// Reshape(LeakyRelu(Add(Rows(score_dst, dst), Rows(score_src, src)))) chain.
 /// The backward recomputes the pre-activation (bitwise, from the saved
 /// inputs) and scatter-adds in ascending edge order, exactly like the
-/// unfused closures.
-Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
-                              const std::vector<int64_t>& src,
-                              const std::vector<int64_t>& dst,
-                              float negative_slope = 0.2f);
-/// Over prebuilt groupings: `src` groups score_src's rows, `dst` score_dst's.
+/// unfused closures. `src` groups score_src's rows, `dst` score_dst's.
 Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
                               const IndexGroupsPtr& src, const IndexGroupsPtr& dst,
                               float negative_slope = 0.2f);
 
 /// Differentiable ScaleRows+ScatterAddRows: out[dst[e]] += rows[e] * scale[e]
-/// -> [num_vertices, d], one tape node replacing the messages [E, d]
+/// -> [dst->num_rows, d], one tape node replacing the messages [E, d]
 /// intermediate (data and grad). `rows` is the gathered [E, d] tensor (the
 /// Rows(wx, src) node is kept so wx receives its gradient contributions in
 /// the unfused order).
-Tensor ScaleScatterRows(const Tensor& rows, const Tensor& scale,
-                        const std::vector<int64_t>& dst, int64_t num_vertices);
 Tensor ScaleScatterRows(const Tensor& rows, const Tensor& scale,
                         const IndexGroupsPtr& dst);
 

@@ -124,17 +124,21 @@ std::vector<OpCase> MakeCases() {
   add("ConcatAxis1", [](const auto& in) { return Concat({in[0], in[1]}, 1); },
       {{3, 2}, {3, 4}});
   add("EdgeSoftmax",
-      [](const auto& in) { return EdgeSoftmax(in[0], {0, 0, 1, 1, 1, 2}, 3); }, {{6}});
+      [](const auto& in) {
+        return EdgeSoftmax(in[0], GroupByIndex({0, 0, 1, 1, 1, 2}, 3));
+      },
+      {{6}});
   add("ScatterAddRows",
-      [](const auto& in) { return ScatterAddRows(in[0], {1, 0, 1, 2}, 3); }, {{4, 3}});
+      [](const auto& in) { return ScatterAddRows(in[0], GroupByIndex({1, 0, 1, 2}, 3)); },
+      {{4, 3}});
   add("GatLikeComposite",
       [](const auto& in) {
         // Attention-weighted aggregation: the exact composite the GAT layer
         // uses (EdgeSoftmax * messages -> ScatterAdd).
-        std::vector<int64_t> dst = {0, 0, 1, 1};
-        Tensor alpha = EdgeSoftmax(in[0], dst, 2);
+        IndexGroupsPtr dst = GroupByIndex({0, 0, 1, 1}, 2);
+        Tensor alpha = EdgeSoftmax(in[0], dst);
         Tensor weighted = Mul(in[1], Reshape(alpha, {4, 1}));
-        return ScatterAddRows(weighted, dst, 2);
+        return ScatterAddRows(weighted, dst);
       },
       {{4}, {4, 1}});
   // The fused differentiable GAT kernels (one tape node per chain). Edge
@@ -142,22 +146,25 @@ std::vector<OpCase> MakeCases() {
   // accumulate more than one edge per row.
   add("FusedEdgeScoreActivate",
       [](const auto& in) {
-        return FusedEdgeScoreActivate(in[0], in[1], {0, 1, 2, 0, 2}, {1, 0, 1, 2, 2},
-                                      0.2f);
+        return FusedEdgeScoreActivate(in[0], in[1], GroupByIndex({0, 1, 2, 0, 2}, 3),
+                                      GroupByIndex({1, 0, 1, 2, 2}, 3), 0.2f);
       },
       {{3, 1}, {3, 1}});
   add("ScaleScatterRows",
-      [](const auto& in) { return ScaleScatterRows(in[0], in[1], {1, 0, 1, 2, 1}, 3); },
+      [](const auto& in) {
+        return ScaleScatterRows(in[0], in[1], GroupByIndex({1, 0, 1, 2, 1}, 3));
+      },
       {{5, 3}, {5}});
   add("FusedGatComposite",
       [](const auto& in) {
         // The grad-mode GatLayer edge path: fused scores -> EdgeSoftmax ->
         // fused scale+scatter of the gathered source rows.
         std::vector<int64_t> src = {0, 1, 2, 0, 2};
-        std::vector<int64_t> dst = {1, 0, 1, 2, 2};
-        Tensor alpha = EdgeSoftmax(FusedEdgeScoreActivate(in[1], in[2], src, dst, 0.2f),
-                                   dst, 3);
-        return ScaleScatterRows(Rows(in[0], src), alpha, dst, 3);
+        IndexGroupsPtr src_groups = GroupByIndex(src, 3);
+        IndexGroupsPtr dst = GroupByIndex({1, 0, 1, 2, 2}, 3);
+        Tensor alpha =
+            EdgeSoftmax(FusedEdgeScoreActivate(in[1], in[2], src_groups, dst, 0.2f), dst);
+        return ScaleScatterRows(Rows(in[0], src), alpha, dst);
       },
       {{3, 2}, {3, 1}, {3, 1}});
   add("NormalizedDotComposite",

@@ -241,19 +241,14 @@ TEST(VariantRegistryRoundTrip, RegistryEnumeratesTheBuiltIns) {
   EXPECT_FALSE(registry.HasEncoder("no-such-encoder"));
 }
 
-// The legacy SARN-w/o-NL switch resolves to the "random" sampler: the
-// variant tag (and so the checkpoint identity) reflects the resolved name.
-TEST(VariantRegistryRoundTrip, LegacyAblationSwitchResolvesToRandom) {
+// A model's variant tag is its config's three names, verbatim: SARN-w/o-NL
+// is negatives = "random" and tags (and so checkpoints) as such.
+TEST(VariantRegistryRoundTrip, VariantTagIsTheConfigNames) {
   const auto network = GoldenCity();
-  SarnConfig legacy = GoldenConfig();
-  legacy.use_spatial_negatives = false;
-  SarnConfig named = GoldenConfig();
-  named.negatives = "random";
-
-  SarnModel legacy_model(network, legacy);
-  SarnModel named_model(network, named);
-  EXPECT_EQ(std::string(legacy_model.negatives_name()), "random");
-  EXPECT_EQ(legacy_model.variant_tag(), named_model.variant_tag());
+  SarnConfig config = GoldenConfig();
+  config.negatives = "random";
+  SarnModel model(network, config);
+  EXPECT_EQ(model.variant_tag(), (VariantTag{"gat", "spatial-importance", "random"}));
 }
 
 }  // namespace

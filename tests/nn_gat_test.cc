@@ -59,6 +59,7 @@ Tensor OpChainReference(const GatSpec& spec, const std::vector<Tensor>& params,
   const EdgeList& graph = spec.add_self_loops ? edges.WithSelfLoops(n) : edges;
   const std::vector<int64_t>& src = graph.src;
   const std::vector<int64_t>& dst = graph.dst;
+  const tensor::IndexGroupsPtr dst_groups = tensor::GroupByIndex(dst, n);
   const int64_t e_count = static_cast<int64_t>(src.size());
   std::vector<Tensor> weights, att_src, att_dst;
   for (int h = 0; h < spec.num_heads; ++h) {
@@ -70,7 +71,7 @@ Tensor OpChainReference(const GatSpec& spec, const std::vector<Tensor>& params,
                                       : tensor::MatMul(x, tensor::Concat(weights, 1));
   Tensor uniform_alpha;
   if (!spec.use_attention) {
-    uniform_alpha = tensor::EdgeSoftmax(Tensor::Zeros({e_count}), dst, n);
+    uniform_alpha = tensor::EdgeSoftmax(Tensor::Zeros({e_count}), dst_groups);
   }
   std::vector<Tensor> heads;
   for (int h = 0; h < spec.num_heads; ++h) {
@@ -84,10 +85,10 @@ Tensor OpChainReference(const GatSpec& spec, const std::vector<Tensor>& params,
       Tensor e = tensor::LeakyRelu(
           tensor::Add(tensor::Rows(score_dst, dst), tensor::Rows(score_src, src)),
           spec.slope);
-      alpha = tensor::EdgeSoftmax(tensor::Reshape(e, {e_count}), dst, n);
+      alpha = tensor::EdgeSoftmax(tensor::Reshape(e, {e_count}), dst_groups);
     }
     Tensor messages = tensor::ScaleRows(tensor::Rows(wx, src), alpha);
-    heads.push_back(tensor::ScatterAddRows(messages, dst, n));
+    heads.push_back(tensor::ScatterAddRows(messages, dst_groups));
   }
   Tensor combined;
   if (spec.concat_heads) {
@@ -309,6 +310,7 @@ TEST(GatLayerTest, FusedForwardMatchesPerHeadReference) {
     dst.push_back(v);
   }
   int64_t e_count = static_cast<int64_t>(src.size());
+  tensor::IndexGroupsPtr dst_groups = tensor::GroupByIndex(dst, n);
   std::vector<Tensor> heads;
   for (int h = 0; h < num_heads; ++h) {
     Tensor wx = tensor::MatMul(x_ref, w[h]);
@@ -316,9 +318,9 @@ TEST(GatLayerTest, FusedForwardMatchesPerHeadReference) {
         tensor::Add(tensor::Rows(tensor::MatMul(wx, a_dst[h]), dst),
                     tensor::Rows(tensor::MatMul(wx, a_src[h]), src)),
         0.2f);
-    Tensor alpha = tensor::EdgeSoftmax(tensor::Reshape(scores, {e_count}), dst, n);
-    heads.push_back(
-        tensor::ScatterAddRows(tensor::ScaleRows(tensor::Rows(wx, src), alpha), dst, n));
+    Tensor alpha = tensor::EdgeSoftmax(tensor::Reshape(scores, {e_count}), dst_groups);
+    heads.push_back(tensor::ScatterAddRows(
+        tensor::ScaleRows(tensor::Rows(wx, src), alpha), dst_groups));
   }
   Tensor y_ref = tensor::Elu(tensor::Add(tensor::Concat(heads, 1),
                                          tensor::MatMul(x_ref, residual)));
@@ -377,12 +379,13 @@ TEST(GatLayerTest, MeanHeadsFusedMatchesPerHeadReference) {
     dst.push_back(v);
   }
   int64_t e_count = static_cast<int64_t>(src.size());
-  Tensor alpha = tensor::EdgeSoftmax(Tensor::Zeros({e_count}), dst, n);
+  tensor::IndexGroupsPtr dst_groups = tensor::GroupByIndex(dst, n);
+  Tensor alpha = tensor::EdgeSoftmax(Tensor::Zeros({e_count}), dst_groups);
   Tensor combined;
   for (int h = 0; h < num_heads; ++h) {
     Tensor wx = tensor::MatMul(x, w[h]);
-    Tensor head =
-        tensor::ScatterAddRows(tensor::ScaleRows(tensor::Rows(wx, src), alpha), dst, n);
+    Tensor head = tensor::ScatterAddRows(tensor::ScaleRows(tensor::Rows(wx, src), alpha),
+                                         dst_groups);
     combined = h == 0 ? head : tensor::Add(combined, head);
   }
   Tensor y_ref = tensor::MulScalar(combined, 1.0f / static_cast<float>(num_heads));

@@ -489,8 +489,7 @@ TEST(OpsTest, DropoutKeepsExpectationAndMasks) {
 TEST(OpsTest, EdgeSoftmaxGroupsSumToOne) {
   // Edges into vertex 0: {0,1}; into vertex 1: {2,3,4}.
   Tensor scores = Tensor::FromVector({5}, {1.0f, 2.0f, -1.0f, 0.0f, 1.0f});
-  std::vector<int64_t> dst = {0, 0, 1, 1, 1};
-  Tensor alpha = EdgeSoftmax(scores, dst, 2);
+  Tensor alpha = EdgeSoftmax(scores, GroupByIndex({0, 0, 1, 1, 1}, 2));
   EXPECT_NEAR(alpha.at(0) + alpha.at(1), 1.0f, 1e-5f);
   EXPECT_NEAR(alpha.at(2) + alpha.at(3) + alpha.at(4), 1.0f, 1e-5f);
   EXPECT_GT(alpha.at(1), alpha.at(0));  // Higher score, higher weight.
@@ -498,20 +497,19 @@ TEST(OpsTest, EdgeSoftmaxGroupsSumToOne) {
 
 TEST(OpsTest, EdgeSoftmaxSingleEdgeGroupIsOne) {
   Tensor scores = Tensor::FromVector({1}, {-5.0f});
-  Tensor alpha = EdgeSoftmax(scores, {0}, 3);
+  Tensor alpha = EdgeSoftmax(scores, GroupByIndex({0}, 3));
   EXPECT_NEAR(alpha.at(0), 1.0f, 1e-6f);
 }
 
 TEST(OpsTest, ScatterAddRowsAggregates) {
   Tensor messages = Tensor::FromVector({3, 2}, {1, 2, 10, 20, 100, 200});
-  std::vector<int64_t> dst = {1, 1, 0};
-  Tensor out = ScatterAddRows(messages, dst, 2);
+  Tensor out = ScatterAddRows(messages, GroupByIndex({1, 1, 0}, 2));
   ExpectTensorNear(out, {100, 200, 11, 22});
 }
 
 TEST(OpsTest, ScatterAddRowsIsolatedVertexIsZero) {
   Tensor messages = Tensor::FromVector({1, 2}, {1, 1});
-  Tensor out = ScatterAddRows(messages, {0}, 3);
+  Tensor out = ScatterAddRows(messages, GroupByIndex({0}, 3));
   ExpectTensorNear(out, {1, 1, 0, 0, 0, 0});
 }
 
@@ -1146,7 +1144,9 @@ TEST(OpsOracleTest, EdgeSoftmaxMatchesSerialLoops) {
   Vec scores(e_count);
   for (float& v : scores) v = static_cast<float>(rng.Uniform(-50.0, 50.0));
   c.inputs = {{{static_cast<int64_t>(e_count)}, scores}};
-  c.op = [&](const std::vector<Tensor>& t) { return EdgeSoftmax(t[0], g.dst, g.n); };
+  c.op = [&](const std::vector<Tensor>& t) {
+    return EdgeSoftmax(t[0], GroupByIndex(g.dst, g.n));
+  };
   c.forward = [&](const std::vector<Vec>& in) {
     std::vector<float> max_per(static_cast<size_t>(g.n), -std::numeric_limits<float>::infinity());
     for (size_t e = 0; e < e_count; ++e) {
@@ -1187,7 +1187,9 @@ TEST(OpsOracleTest, ScatterAddRowsMatchesSerialLoops) {
   size_t e_count = g.dst.size();
   OracleCase c;
   c.inputs = {{{static_cast<int64_t>(e_count), d}, Spread(e_count * d, 101)}};
-  c.op = [&](const std::vector<Tensor>& t) { return ScatterAddRows(t[0], g.dst, g.n); };
+  c.op = [&](const std::vector<Tensor>& t) {
+    return ScatterAddRows(t[0], GroupByIndex(g.dst, g.n));
+  };
   c.forward = [&](const std::vector<Vec>& in) {
     Vec out(static_cast<size_t>(g.n * d), 0.0f);
     for (size_t e = 0; e < e_count; ++e) {
@@ -1226,7 +1228,8 @@ TEST(OpsOracleTest, EdgeScoreKernelsMatchSerialLoops) {
   c.inputs = {{{g.n, 1}, Spread(static_cast<size_t>(g.n), 111)},
               {{g.n, 1}, Spread(static_cast<size_t>(g.n), 112)}};
   c.op = [&](const std::vector<Tensor>& t) {
-    return FusedEdgeScoreActivate(t[0], t[1], g.src, g.dst, slope);
+    return FusedEdgeScoreActivate(t[0], t[1], GroupByIndex(g.src, g.n),
+                                  GroupByIndex(g.dst, g.n), slope);
   };
   c.forward = [&](const std::vector<Vec>& in) { return EdgeScoresRef(g, in[0], in[1], slope); };
   c.backward = [&](const std::vector<Vec>& in, const Vec&, const Vec& grad,
@@ -1269,7 +1272,9 @@ TEST(OpsOracleTest, ScaleScatterKernelsMatchSerialLoops) {
   OracleCase c;
   c.inputs = {{{static_cast<int64_t>(e_count), d}, Spread(e_count * d, 121)},
               {{static_cast<int64_t>(e_count)}, Spread(e_count, 122)}};
-  c.op = [&](const std::vector<Tensor>& t) { return ScaleScatterRows(t[0], t[1], g.dst, g.n); };
+  c.op = [&](const std::vector<Tensor>& t) {
+    return ScaleScatterRows(t[0], t[1], GroupByIndex(g.dst, g.n));
+  };
   c.forward = [&](const std::vector<Vec>& in) {
     return ScaleScatterRef(g, d, in[1], [&](size_t e) { return in[0].data() + e * d; });
   };
@@ -1293,7 +1298,7 @@ TEST(OpsOracleTest, ScaleScatterKernelsMatchSerialLoops) {
                    {{static_cast<int64_t>(e_count)}, Spread(e_count, 124)}};
   gather.op = [&](const std::vector<Tensor>& t) {
     NoGradGuard no_grad;
-    return FusedGatherScaleScatter(t[0], g.src, g.dst, t[1], g.n);
+    return FusedGatherScaleScatter(t[0], g.src, GroupByIndex(g.dst, g.n), t[1]);
   };
   gather.forward = [&](const std::vector<Vec>& in) {
     return ScaleScatterRef(g, d, in[1], [&](size_t e) { return in[0].data() + g.src[e] * d; });
@@ -1323,19 +1328,17 @@ TEST(OpsOracleTest, LargeFillsAndZeroedGradsAreExact) {
   }
 }
 
+// The scatter ops take their target index only as a GroupByIndex grouping,
+// so GroupByIndex is where an out-of-range target is caught.
 TEST(OpsDeathTest, ScatterIndicesOutsideTheTargetAreRejected) {
-  Tensor messages = Tensor::Ones({3, 2});
   EXPECT_DEATH(GroupByIndex({0, 3, 1}, 3), "index 3 at position 1 outside \\[0, 3\\)");
-  EXPECT_DEATH(ScatterAddRows(messages, {0, 1, -1}, 2), "outside");
-  EXPECT_DEATH(ScaleScatterRows(messages, Tensor::Ones({3}), {0, 5, 1}, 2), "outside");
-  EXPECT_DEATH(EdgeSoftmax(Tensor::Ones({3}), {0, 1, 2}, 2), "outside");
+  EXPECT_DEATH(GroupByIndex({0, 1, -1}, 2), "outside");
   EXPECT_DEATH(Rows(Tensor::Ones({2, 2}).RequiresGrad(), {0, 2}), "outside");
   Tensor scores = Tensor::Ones({2, 1});
-  EXPECT_DEATH(FusedEdgeScoreActivate(scores, scores, {0, 2}, {1, 0}), "outside");
   NoGradGuard no_grad;
   EXPECT_DEATH(FusedEdgeScores(scores, scores, {0, 1}, {1, 2}), "edge 1");
-  EXPECT_DEATH(FusedGatherScaleScatter(Tensor::Ones({2, 2}), {0, 4}, {1, 0},
-                                       Tensor::Ones({2}), 2),
+  EXPECT_DEATH(FusedGatherScaleScatter(Tensor::Ones({2, 2}), {0, 4},
+                                       GroupByIndex({1, 0}, 2), Tensor::Ones({2})),
                "source 4");
 }
 

@@ -174,7 +174,7 @@ TEST_F(SarnInternalsTest, GlobalLossPositiveWhenCellsPopulated) {
 
 TEST_F(SarnInternalsTest, RandomNegativeModeProducesInfoNceLoss) {
   SarnConfig config = SmallConfig();
-  config.use_spatial_negatives = false;
+  config.negatives = "random";
   config.random_negatives = 8;
   SarnModel model(*network_, config);
   SarnModelTestPeer peer(model);

@@ -13,6 +13,8 @@
 
 #include "common/parallel.h"
 #include "geo/point.h"
+#include "obs/metrics.h"
+#include "obs/metrics_sink.h"
 #include "roadnet/synthetic_city.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
@@ -81,18 +83,20 @@ TEST_F(SarnModelTest, SpatialEdgesPresentByDefaultAbsentInAblation) {
   SarnModel with(*network_, SmallConfig());
   EXPECT_FALSE(with.spatial_edges().empty());
   SarnConfig ablated = SmallConfig();
-  ablated.use_spatial_matrix = false;
+  ablated.max_spatial_neighbors = 0;  // SARN-w/o-M.
   SarnModel without(*network_, ablated);
   EXPECT_TRUE(without.spatial_edges().empty());
 }
 
+// The paper's §5.4 variants, each spelled as settings: SARN, SARN-w/o-M
+// (no spatial matrix), SARN-w/o-NL ("random" negatives) and SARN-w/o-MNL.
 TEST_F(SarnModelTest, AblationVariantsTrain) {
-  for (bool matrix : {true, false}) {
-    for (bool negatives : {true, false}) {
+  for (int neighbors : {4, 0}) {
+    for (const char* negatives : {"spatial", "random"}) {
       SarnConfig config = SmallConfig();
       config.max_epochs = 3;
-      config.use_spatial_matrix = matrix;
-      config.use_spatial_negatives = negatives;
+      config.max_spatial_neighbors = neighbors;
+      config.negatives = negatives;
       config.random_negatives = 16;
       SarnModel model(*network_, config);
       TrainStats stats = model.Train();
@@ -139,6 +143,42 @@ TEST_F(SarnModelTest, TrainedEmbeddingsReflectSpatialStructure) {
     ++far_count;
   }
   EXPECT_GT(near_sum / near_count, far_sum / far_count + 0.05);
+}
+
+// Reads the cumulative pool-miss counter the training steps publish
+// (tensor::StepScope) at the end of every epoch.
+class PoolMissRecorder : public obs::MetricsSink {
+ public:
+  void OnEpoch(const obs::EpochRecord&) override {
+    misses.push_back(
+        obs::MetricsRegistry::Default().GetCounter("sarn.alloc.pool_misses").Value());
+  }
+  void OnCheckpoint(const obs::CheckpointEvent&) override {}
+
+  std::vector<uint64_t> misses;
+};
+
+// Once one epoch has warmed the buffer pool's size classes, steady-state
+// training steps allocate nothing new: two more epochs add no pool miss, at
+// 1 and at 4 threads. The city has over 1,000 segments so the ops split
+// across the kernel pool's workers.
+TEST(SarnModelThreadsTest, SteadyStateEpochsAddNoPoolMisses) {
+  roadnet::RoadNetwork network =
+      roadnet::GenerateSyntheticCity(roadnet::SyntheticCityConfig{});
+  SarnConfig config = SmallConfig();
+  config.max_epochs = 3;
+  size_t original = GetParallelThreads();
+  for (size_t threads : {1, 4}) {
+    SetParallelThreads(threads);
+    SarnModel model(network, config);
+    PoolMissRecorder recorder;
+    TrainOptions options;
+    options.metrics_sink = &recorder;
+    model.Train(options);
+    ASSERT_EQ(recorder.misses.size(), 3u);
+    EXPECT_EQ(recorder.misses[2], recorder.misses[0]) << threads << " threads";
+  }
+  SetParallelThreads(original);
 }
 
 TEST_F(SarnModelTest, DeterministicGivenSeed) {

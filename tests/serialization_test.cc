@@ -41,60 +41,6 @@ TrainingCheckpoint MakeCheckpoint() {
   return ckpt;
 }
 
-TEST(SerializationTest, RoundTripRestoresValues) {
-  Rng rng(1);
-  Linear a(4, 3, rng);
-  Linear b(4, 3, rng);  // Different init.
-  std::string path = TempPath("sarn_params.bin");
-  ASSERT_TRUE(SaveParameters(path, a.Parameters()));
-  ASSERT_TRUE(LoadParameters(path, b.Parameters()));
-  Tensor x = Tensor::Randn({2, 4}, rng);
-  Tensor ya = a.Forward(x);
-  Tensor yb = b.Forward(x);
-  for (int64_t i = 0; i < ya.numel(); ++i) {
-    EXPECT_FLOAT_EQ(ya.data()[static_cast<size_t>(i)], yb.data()[static_cast<size_t>(i)]);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SerializationTest, RejectsShapeMismatch) {
-  Rng rng(2);
-  Linear a(4, 3, rng);
-  Linear wrong(4, 5, rng);
-  std::string path = TempPath("sarn_params_mismatch.bin");
-  ASSERT_TRUE(SaveParameters(path, a.Parameters()));
-  EXPECT_FALSE(LoadParameters(path, wrong.Parameters()));
-  std::remove(path.c_str());
-}
-
-TEST(SerializationTest, RejectsWrongCount) {
-  Rng rng(3);
-  Linear a(4, 3, rng);
-  std::string path = TempPath("sarn_params_count.bin");
-  ASSERT_TRUE(SaveParameters(path, a.Parameters()));
-  std::vector<Tensor> too_few = {a.Parameters()[0]};
-  EXPECT_FALSE(LoadParameters(path, too_few));
-  std::remove(path.c_str());
-}
-
-TEST(SerializationTest, RejectsGarbageFile) {
-  std::string path = TempPath("sarn_params_garbage.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a checkpoint";
-  }
-  Rng rng(4);
-  Linear a(4, 3, rng);
-  EXPECT_FALSE(LoadParameters(path, a.Parameters()));
-  std::remove(path.c_str());
-}
-
-TEST(SerializationTest, MissingFileFails) {
-  Rng rng(5);
-  Linear a(4, 3, rng);
-  EXPECT_FALSE(LoadParameters("/nonexistent/params.bin", a.Parameters()));
-}
-
 // --- TrainingCheckpoint container -------------------------------------------
 
 TEST(TrainingCheckpointTest, RoundTripPreservesSections) {
@@ -274,11 +220,7 @@ TEST(TrainingCheckpointTest, ResumeSkipsCorruptAndUsesOlderValid) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(SerializationTest, SarnModelCheckpointRoundTrip) {
-  roadnet::SyntheticCityConfig city;
-  city.rows = 8;
-  city.cols = 8;
-  roadnet::RoadNetwork network = roadnet::GenerateSyntheticCity(city);
+core::SarnConfig TinySarnConfig() {
   core::SarnConfig config;
   config.hidden_dim = 8;
   config.embedding_dim = 8;
@@ -287,19 +229,60 @@ TEST(SerializationTest, SarnModelCheckpointRoundTrip) {
   config.gat_heads = 2;
   config.feature_dim_per_feature = 2;
   config.max_epochs = 2;
+  return config;
+}
+
+// SaveWeights writes the training-checkpoint container with just the
+// variant tag and the online branch; LoadFromTrainingCheckpoint restores it
+// bit for bit.
+TEST(SerializationTest, SarnModelWeightsRoundTrip) {
+  roadnet::SyntheticCityConfig city;
+  city.rows = 8;
+  city.cols = 8;
+  roadnet::RoadNetwork network = roadnet::GenerateSyntheticCity(city);
+  core::SarnConfig config = TinySarnConfig();
   core::SarnModel trained(network, config);
   trained.Train();
   std::string path = TempPath("sarn_model.ckpt");
-  ASSERT_TRUE(trained.SaveWeights(path));
+  nn::CheckpointStatus saved = trained.SaveWeights(path);
+  ASSERT_TRUE(saved.ok()) << saved.message;
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  TrainingCheckpoint ckpt;
+  ASSERT_TRUE(LoadCheckpoint(path, &ckpt).ok());
+  ASSERT_EQ(ckpt.sections.size(), 2u);
+  EXPECT_EQ(ckpt.sections[0].first, core::kSectionVariant);
+  EXPECT_EQ(ckpt.sections[1].first, core::kSectionOnline);
 
   config.seed = 777;  // Different init.
   core::SarnModel restored(network, config);
-  ASSERT_TRUE(restored.LoadWeights(path));
+  core::ModelLoadStatus status = restored.LoadFromTrainingCheckpoint(path);
+  ASSERT_TRUE(status.ok()) << status.message;
   Tensor a = trained.Embeddings();
   Tensor b = restored.Embeddings();
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    ASSERT_FLOAT_EQ(a.data()[static_cast<size_t>(i)], b.data()[static_cast<size_t>(i)]);
-  }
+  ASSERT_EQ(a.data().ToVector(), b.data().ToVector());
+  std::remove(path.c_str());
+}
+
+// A weights file from a different architecture is rejected as such, and the
+// model it was offered to keeps every parameter.
+TEST(SerializationTest, SarnModelWeightsArchitectureMismatchLeavesModelUntouched) {
+  roadnet::SyntheticCityConfig city;
+  city.rows = 8;
+  city.cols = 8;
+  roadnet::RoadNetwork network = roadnet::GenerateSyntheticCity(city);
+  core::SarnModel small(network, TinySarnConfig());
+  std::string path = TempPath("sarn_model_small.ckpt");
+  ASSERT_TRUE(small.SaveWeights(path).ok());
+
+  core::SarnConfig wide_config = TinySarnConfig();
+  wide_config.hidden_dim = 16;
+  wide_config.embedding_dim = 16;
+  core::SarnModel wide(network, wide_config);
+  const std::vector<float> before = wide.Embeddings().data().ToVector();
+  core::ModelLoadStatus status = wide.LoadFromTrainingCheckpoint(path);
+  EXPECT_EQ(status.error, core::ModelLoadError::kArchitectureMismatch) << status.message;
+  EXPECT_EQ(wide.Embeddings().data().ToVector(), before);
   std::remove(path.c_str());
 }
 

@@ -122,7 +122,7 @@ TEST_P(TensorPropertyTest, ScatterAddInvertsGatherSum) {
     index.push_back(i);  // Each row twice.
   }
   Tensor gathered = Rows(a, index);
-  Tensor scattered = ScatterAddRows(gathered, index, c.m);
+  Tensor scattered = ScatterAddRows(gathered, GroupByIndex(index, c.m));
   ExpectNear(scattered, MulScalar(a, 2.0f), 1e-4f);
 }
 

@@ -39,6 +39,30 @@ foreach(artifact net.csv model.ckpt emb.csv atlas.geojson metrics.jsonl trace.js
     message(FATAL_ERROR "missing artifact ${artifact}")
   endif()
 endforeach()
+# `train --weights` output feeds `snapshot save --checkpoint`: the snapshot
+# rebuilt from the weights must serve the same neighbours as the one built
+# from the embeddings CSV of the same run.
+run_step(${SARN_CLI} snapshot save --checkpoint ${WORK_DIR}/model.ckpt
+         --network ${WORK_DIR}/net.csv --dim 16 --out ${WORK_DIR}/weights.sarnsnap)
+run_step(${SARN_CLI} snapshot save --embeddings ${WORK_DIR}/emb.csv
+         --out ${WORK_DIR}/emb.sarnsnap)
+foreach(source weights emb)
+  execute_process(COMMAND ${SARN_CLI} snapshot load --in ${WORK_DIR}/${source}.sarnsnap
+                          --query-id 0 --k 5
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "snapshot load ${source} failed (${code}): ${out}\n${err}")
+  endif()
+  string(REGEX MATCHALL "neighbor [0-9]+" neighbors_${source} "${out}")
+  list(LENGTH neighbors_${source} neighbor_count)
+  if(NOT neighbor_count EQUAL 5)
+    message(FATAL_ERROR "expected 5 neighbours from ${source}.sarnsnap, got: ${out}")
+  endif()
+endforeach()
+if(NOT neighbors_weights STREQUAL neighbors_emb)
+  message(FATAL_ERROR "weights snapshot neighbours (${neighbors_weights}) differ "
+                      "from embeddings snapshot neighbours (${neighbors_emb})")
+endif()
 # One epoch record per trained epoch.
 file(STRINGS ${WORK_DIR}/metrics.jsonl metric_lines REGEX "\"event\":\"epoch\"")
 list(LENGTH metric_lines epoch_lines)

@@ -125,35 +125,6 @@ std::optional<tensor::Tensor> LoadEmbeddingsCsv(const std::string& path) {
   return result.embeddings;
 }
 
-/// SarnModel::Load's .sarnsnap branch. The snapshot reader sits above
-/// sarn_core in the link graph, so the CLI installs this hook at startup
-/// (Main); it adopts the embedded model matrix of a serving snapshot.
-core::ModelLoadResult LoadSnapshotEmbeddings(const std::string& path) {
-  core::ModelLoadResult result;
-  snapshot::LoadedSnapshot loaded;
-  snapshot::SnapshotStatus status = snapshot::LoadServingSnapshot(
-      path, tasks::IndexPrecision::kFloat32, &loaded);
-  if (!status.ok()) {
-    result.error = status.error == snapshot::SnapshotError::kIoError
-                       ? core::ModelLoadError::kFileNotFound
-                       : core::ModelLoadError::kParseError;
-    result.message = std::string("[") + snapshot::SnapshotErrorName(status.error) +
-                     "] " + status.message;
-    return result;
-  }
-  if (loaded.model_embeddings.empty()) {
-    result.error = core::ModelLoadError::kUnsupportedFormat;
-    result.message = path + " has no embedded model matrix (saved with "
-                     "--include-model false)";
-    return result;
-  }
-  result.embeddings = tensor::Tensor::FromVector(
-      {loaded.meta.n, loaded.meta.d},
-      std::vector<float>(loaded.model_embeddings.begin(),
-                         loaded.model_embeddings.end()));
-  return result;
-}
-
 std::string JoinNames(const std::vector<std::string>& names) {
   std::string out;
   for (const std::string& name : names) {
@@ -291,7 +262,8 @@ struct TrainArgs {
         .Int("dim", &dim, "embedding dimension")
         .Int("seed", &seed, "RNG seed");
     variant.Bind(b)
-        .String("weights", &weights, "write model weights here")
+        .String("weights", &weights,
+                "write model weights here (input of snapshot save --checkpoint)")
         .String("embeddings", &embeddings, "write embeddings CSV here")
         .String("checkpoint-dir", &options.checkpoint_dir,
                 "rolling checkpoint directory")
@@ -371,9 +343,8 @@ int CmdTrain(const TrainArgs& args) {
               stats.seconds);
 
   if (!args.weights.empty()) {
-    if (!model.SaveWeights(args.weights)) {
-      return Fail("train: cannot write " + args.weights);
-    }
+    nn::CheckpointStatus saved = model.SaveWeights(args.weights);
+    if (!saved.ok()) return Fail("train: " + saved.message);
     std::printf("weights -> %s\n", args.weights.c_str());
   }
   if (!args.embeddings.empty()) {
@@ -1162,9 +1133,6 @@ int Usage() {
 
 int Main(int argc, char** argv) {
   InitLogLevelFromEnv();
-  // The CLI links the snapshot reader, so SarnModel::Load can cover the
-  // .sarnsnap branch of its unified source enum here.
-  core::SarnModel::SetSnapshotLoader(&LoadSnapshotEmbeddings);
   if (argc < 2) return Usage();
   std::string name = argv[1];
   if (name == "--help" || name == "-h" || name == "help") {
